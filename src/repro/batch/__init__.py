@@ -1,16 +1,16 @@
 """The batched round execution plane.
 
-The monitor's legacy hot path walks one site at a time; this package
-restructures a round into a *plan* step that enumerates the whole site
-batch (DNS answers, sessions, fault schedules) and an *execute* step
-that walks the dispatch schedule consuming bulk draws and materializing
+The monitor's per-site walk handles one site at a time; this package
+restructures a fault-free round into a *plan* step that enumerates the
+whole site batch (DNS answers, sessions) and an *execute* step that
+walks the dispatch schedule consuming bulk draws and materializing
 observation rows in columnar order.  Both steps are engineered to be
-bit-identical to the scalar path: same shared-RNG draw order, same
+bit-identical to the per-site walk: same shared-RNG draw order, same
 float expressions, same database row order, so the pinned faults-off
 digest and serial-vs-process parity are preserved.
 
-``REPRO_BATCH=0`` forces the legacy scalar path (kept as the reference
-implementation the parity tests compare against).
+Rounds with injected faults always run the per-site walk, and
+``REPRO_BATCH=0`` forces it on fault-free rounds too.
 """
 
 from __future__ import annotations

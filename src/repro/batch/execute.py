@@ -10,12 +10,10 @@ probe's Gaussian, a measured site runs two converging loops — so the
 per-vantage stream advances through the batch precisely as the scalar
 ``_monitor_site`` chain did, and the pinned content digests hold.
 
-Faulty worlds route through :func:`execute_faulted_round` instead: site
-fates there depend on injected failures (a DNS-exhausted family flips a
-site to single-stack, probe retries consume extra draws), so the walk
-classifies at execute time — still on the batched spine, with server
-fault decisions prefetched per probe/loop span through
-:meth:`HttpClient.fault_batch`.
+Only fault-free worlds reach this module: with faults injected, site
+fates depend on execute-time failures (a DNS-exhausted family flips a
+site to single-stack, probe retries consume extra draws), and
+:meth:`MonitoringTool.run_round` runs its per-site walk instead.
 """
 
 from __future__ import annotations
@@ -23,11 +21,8 @@ from __future__ import annotations
 import heapq
 import math
 
-from ..errors import UnreachableError
 from ..monitor.database import (
-    DnsObservation,
     DownloadObservation,
-    PageCheck,
     PathObservation,
     TransitionObservation,
 )
@@ -57,9 +52,9 @@ _DOWNLOADS = metrics.counter("download.samples")
 _CONVERGED = metrics.counter("download.loops_converged")
 _EXHAUSTED = metrics.counter("download.loops_exhausted")
 _LOOP_SAMPLES = metrics.histogram("download.samples_per_loop")
-#: batch-plane phase widths (satellite gauges: how many sites each
-#: phase's arrays carried this round — the batched analogue of the
-#: legacy per-dispatch slot occupancy).
+#: batch-plane phase widths: how many sites each phase's arrays carried
+#: this round (the batched analogue of the per-dispatch slot occupancy).
+#: Faulted rounds never reach this module and leave them untouched.
 _BATCH_DNS_WIDTH = metrics.gauge("monitor.batch.dns_width")
 _BATCH_IDENTITY_WIDTH = metrics.gauge("monitor.batch.identity_width")
 _BATCH_DOWNLOAD_WIDTH = metrics.gauge("monitor.batch.download_width")
@@ -77,14 +72,9 @@ def run_batched_round(
     n_new: int,
     round_start: float,
 ) -> RoundReport:
-    """One monitoring round on the batched spine (the run_round back end)."""
-    env = tool.env
-    if env.resolver.fault_check is None and not env.client.has_fault_hook:
-        plan = build_round_plan(tool, round_idx, order, listed_now)
-        return _execute_plan(tool, plan, n_new, round_start)
-    return _execute_faulted(
-        tool, round_idx, order, listed_now, n_new, round_start
-    )
+    """One fault-free monitoring round on the batched spine: plan, execute."""
+    plan = build_round_plan(tool, round_idx, order, listed_now)
+    return _execute_plan(tool, plan, n_new, round_start)
 
 
 def _execute_plan(
@@ -223,7 +213,14 @@ def _execute_plan(
     _DOWNLOADS.inc(total_samples)
     _CONVERGED.inc(n_converged)
     _EXHAUSTED.inc(n_exhausted)
-    _record_phase_widths(len(plan.sites), n_dual, n_measured, occupancy_max)
+    # Per-phase batch widths, plus the legacy occupancy high-water mark:
+    # there is no per-dispatch pool scan here, so the walk above tracked
+    # the same dispatch-instant occupancy and records its maximum.
+    _BATCH_DNS_WIDTH.set(len(plan.sites))
+    _BATCH_IDENTITY_WIDTH.set(n_dual)
+    _BATCH_DOWNLOAD_WIDTH.set(n_measured)
+    if occupancy_max:
+        _SLOT_OCCUPANCY.update_max(occupancy_max)
     _LOG.debug(
         "batched round done",
         extra={
@@ -245,251 +242,3 @@ def _execute_plan(
         makespan_seconds=makespan - round_start,
         n_failures=0,
     )
-
-
-def _record_phase_widths(
-    dns_width: int, identity_width: int, download_width: int, occupancy_max: int
-) -> None:
-    """Per-phase batch gauges, plus the legacy occupancy high-water mark.
-
-    Under batching there is no per-dispatch pool scan, so the legacy
-    ``monitor.slot_occupancy`` gauge would freeze at whatever the last
-    scalar round left behind; the execute walk tracks the same
-    dispatch-instant occupancy and records the round's maximum here.
-    """
-    _BATCH_DNS_WIDTH.set(dns_width)
-    _BATCH_IDENTITY_WIDTH.set(identity_width)
-    _BATCH_DOWNLOAD_WIDTH.set(download_width)
-    if occupancy_max:
-        _SLOT_OCCUPANCY.update_max(occupancy_max)
-
-
-def _execute_faulted(
-    tool,
-    round_idx: int,
-    order: list[str],
-    listed_now: set[str],
-    n_new: int,
-    round_start: float,
-) -> RoundReport:
-    """Execute a round whose fates depend on injected faults.
-
-    Classification happens site by site (a DNS-exhausted family flips a
-    site to single-stack; an exhausted probe abandons it), but the
-    expensive lookups stay batched: server fault decisions are
-    prefetched per probe span and per loop block.  Rows land through the
-    scalar ``add_*`` writes because fault rows interleave with the
-    per-site tables in dispatch order.
-    """
-    cfg = tool.config
-    slots = [(round_start, slot) for slot in range(cfg.max_concurrent)]
-    heapq.heapify(slots)
-    busy: list[float] = []
-    occupancy_max = 0
-    makespan = round_start
-    n_dual = 0
-    n_measured = 0
-    for name in order:
-        free_at, slot = heapq.heappop(slots)
-        while busy and busy[0] <= free_at:
-            heapq.heappop(busy)
-        occupancy = 1 + len(busy)
-        if occupancy > occupancy_max:
-            occupancy_max = occupancy
-        duration, dual_stack, measured = _monitor_site_faulted(
-            tool, name, round_idx, free_at, listed=name in listed_now
-        )
-        finish = free_at + duration
-        heapq.heappush(slots, (finish, slot))
-        heapq.heappush(busy, finish)
-        makespan = max(makespan, finish)
-        n_dual += int(dual_stack)
-        n_measured += int(measured)
-    _record_phase_widths(len(order), n_dual, n_measured, occupancy_max)
-    _LOG.debug(
-        "batched round done",
-        extra={
-            "vantage": tool.vantage.name,
-            "round": round_idx,
-            "monitored": len(order),
-            "new": n_new,
-            "dual_stack": n_dual,
-            "measured": n_measured,
-            "failures": tool._round_faults,
-        },
-    )
-    return RoundReport(
-        round_idx=round_idx,
-        n_monitored=len(order),
-        n_new=n_new,
-        n_dual_stack=n_dual,
-        n_measured=n_measured,
-        makespan_seconds=makespan - round_start,
-        n_failures=tool._round_faults,
-    )
-
-
-def _probe_prefetched(
-    tool, session, family: AddressFamily, site_id: int, round_idx: int, decisions
-) -> tuple[bool, float]:
-    """One identity probe against prefetched fault decisions.
-
-    The retry loop, backoff accounting, fault recording, and shared-RNG
-    draw (exactly one Gaussian, on the first non-faulted attempt) mirror
-    ``MonitoringTool._probe_with_retry`` + ``DownloadSession.get``;
-    returns (succeeded, simulated seconds spent).
-    """
-    rng = tool.rng
-    seconds = 0.0
-    for attempt in range(tool.config.max_retries + 1):
-        fault = decisions[attempt]
-        if fault is None:
-            sigma = session._noise_sigma
-            if sigma > 0:
-                speed = session.round_mean * math.exp(rng.gauss(0.0, sigma))
-            else:
-                speed = session.round_mean
-            seconds += session._page_kbytes / speed
-            return True, seconds
-        seconds += fault.seconds
-        tool._record_fault(site_id, round_idx, family, fault.kind)
-        if attempt < tool.config.max_retries:
-            seconds += tool._backoff_seconds(attempt)
-    tool._record_fault(site_id, round_idx, family, "exhausted")
-    return False, seconds
-
-
-def _monitor_site_faulted(
-    tool, name: str, round_idx: int, now: float, listed: bool
-) -> tuple[float, bool, bool]:
-    """One site under injected faults (``_monitor_site`` on the batch spine)."""
-    _SITES_MONITORED.inc()
-    site_id = tool._site_ids.get(name)
-    if site_id is None:
-        site_id = tool._site_ids[name] = tool.env.site_id_of(name)
-    answers, dns_extra = tool._query_both_with_retry(
-        name, site_id, round_idx, now
-    )
-    v4 = answers[AddressFamily.IPV4]
-    v6 = answers[AddressFamily.IPV6]
-    database = tool.database
-    database.add_dns(
-        DnsObservation(
-            site_id=site_id,
-            name=name,
-            round_idx=round_idx,
-            has_v4=v4 is not None,
-            has_v6=v6 is not None,
-            listed=listed,
-        )
-    )
-    if v4 is None or v6 is None:
-        _DNS_FILTERED.inc()
-        return DNS_PHASE_SECONDS + dns_extra, False, False
-    _DUAL_STACK.inc()
-
-    client = tool.env.client
-    probe_keys = [f"probe:{idx}" for idx in range(tool.config.max_retries + 1)]
-    try:
-        session_v4 = client.open(
-            v4.final_name, v4.addresses[0], AddressFamily.IPV4, round_idx
-        )
-        probe_v4_ok, v4_seconds = _probe_prefetched(
-            tool,
-            session_v4,
-            AddressFamily.IPV4,
-            site_id,
-            round_idx,
-            client.fault_batch(
-                site_id, AddressFamily.IPV4, round_idx, probe_keys
-            ),
-        )
-        session_v6 = client.open(
-            v6.final_name, v6.addresses[0], AddressFamily.IPV6, round_idx
-        )
-        probe_v6_ok, v6_seconds = _probe_prefetched(
-            tool,
-            session_v6,
-            AddressFamily.IPV6,
-            site_id,
-            round_idx,
-            client.fault_batch(
-                site_id, AddressFamily.IPV6, round_idx, probe_keys
-            ),
-        )
-    except UnreachableError:
-        _UNREACHABLE.inc()
-        return DNS_PHASE_SECONDS + dns_extra + PAGE_CHECK_SECONDS, True, False
-    if not probe_v4_ok or not probe_v6_ok:
-        return (
-            DNS_PHASE_SECONDS + dns_extra + v4_seconds + v6_seconds,
-            True,
-            False,
-        )
-    v4_bytes = session_v4.endpoint.page_bytes
-    v6_bytes = session_v6.endpoint.page_bytes
-    larger = max(v4_bytes, v6_bytes)
-    identical = abs(v4_bytes - v6_bytes) / larger <= tool.config.identity_threshold
-    database.add_page_check(
-        PageCheck(
-            site_id=site_id,
-            round_idx=round_idx,
-            v4_bytes=v4_bytes,
-            v6_bytes=v6_bytes,
-            identical=identical,
-        )
-    )
-    duration = v4_seconds + v6_seconds + DNS_PHASE_SECONDS + dns_extra
-    if not identical:
-        _IDENTITY_FAILED.inc()
-        return duration, True, False
-
-    fully_measured = True
-    for family, session in (
-        (AddressFamily.IPV4, session_v4),
-        (AddressFamily.IPV6, session_v6),
-    ):
-        outcome = tool.downloader.run_batched(session, tool.rng)
-        duration += outcome.total_seconds
-        for _ in range(outcome.n_timeouts):
-            tool._record_fault(site_id, round_idx, family, "timeout")
-        for _ in range(outcome.n_resets):
-            tool._record_fault(site_id, round_idx, family, "reset")
-        if outcome.gave_up:
-            tool._record_fault(site_id, round_idx, family, "exhausted")
-        if outcome.first_result is None:
-            fully_measured = False
-            continue
-        database.add_download(
-            DownloadObservation(
-                site_id=site_id,
-                round_idx=round_idx,
-                family=family,
-                n_samples=outcome.n_samples,
-                mean_speed=outcome.mean_speed,
-                ci_half_width=outcome.ci_half_width,
-                converged=outcome.converged,
-                page_bytes=outcome.page_bytes,
-                timestamp=now,
-            )
-        )
-        database.add_path(
-            PathObservation(
-                site_id=site_id,
-                round_idx=round_idx,
-                family=family,
-                dest_asn=outcome.first_result.as_path[-1],
-                as_path=outcome.first_result.as_path,
-            )
-        )
-        if family is AddressFamily.IPV6 and tool.env.record_transitions:
-            database.add_transition(
-                TransitionObservation(
-                    site_id=site_id,
-                    round_idx=round_idx,
-                    kind=session.path.transition_kind,
-                )
-            )
-    if fully_measured:
-        _MEASURED.inc()
-    return duration, True, fully_measured

@@ -395,38 +395,6 @@ class World:
 
         return hook
 
-    def server_fault_hook_batch(self):
-        """Batched HTTP-client fault hook over this world's plan (or None).
-
-        Same per-coordinate decisions as :meth:`server_fault_hook`, but
-        one call covers a whole span of attempt keys (a probe's retry
-        budget, a chunk of loop attempts) through
-        :meth:`FaultPlan.server_fault_batch` — the batched monitor's
-        fault lookups stay on the digest spine without a Python call per
-        GET.
-        """
-        plan = self.faults
-        if plan is None:
-            return None
-
-        def hook_batch(
-            site_id: int,
-            family: AddressFamily,
-            round_idx: int,
-            fault_keys: list[str],
-        ) -> list[ServerFault | None]:
-            multiplier = 1.0
-            if (
-                family is AddressFamily.IPV6
-                and self.catalog.site(site_id).server.v6_impaired
-            ):
-                multiplier = plan.config.impaired_fault_multiplier
-            return plan.server_fault_batch(
-                site_id, family, round_idx, fault_keys, multiplier
-            )
-
-        return hook_batch
-
     def environment_for(
         self, vantage: VantagePoint, zones: ZoneStore | None = None
     ) -> VantageEnvironment:
@@ -460,7 +428,6 @@ class World:
             path_provider=self._path_provider(vantage.asn, dns64_on),
             owner_lookup=self.owner_of_address,
             fault_hook=self.server_fault_hook(),
-            fault_hook_batch=self.server_fault_hook_batch(),
         )
         n_rounds = self.config.campaign.n_rounds
         external_ids = self.external_site_ids()

@@ -829,23 +829,24 @@ class _Handler(BaseHTTPRequestHandler):
         params = dict(parse_qsl(parsed.query))
         body: bytes | None = None
         if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
+            raw = (self.headers.get("Content-Length") or "0").strip()
+            if not (raw.isascii() and raw.isdigit()):
+                # A negative length would block rfile.read until the
+                # request timeout; a non-numeric one would crash the
+                # handler with no response at all.
+                self._reject(
+                    400,
+                    "bad_request",
+                    f"Content-Length {raw!r} is not a non-negative integer",
+                )
+                return
+            length = int(raw)
             if length > self.app.config.max_body_bytes:
-                self._respond(
+                self._reject(
                     413,
-                    canonical_json(
-                        {
-                            "error": {
-                                "code": "too_large",
-                                "message": (
-                                    f"request body of {length} bytes exceeds "
-                                    f"the {self.app.config.max_body_bytes}-"
-                                    "byte cap"
-                                ),
-                            }
-                        }
-                    ),
-                    "bypass",
+                    "too_large",
+                    f"request body of {length} bytes exceeds the "
+                    f"{self.app.config.max_body_bytes}-byte cap",
                 )
                 return
             body = self.rfile.read(length) if length else b""
@@ -856,6 +857,20 @@ class _Handler(BaseHTTPRequestHandler):
             )
         _LATENCY.observe((time.perf_counter() - started) * 1000.0)
         self._respond(status, data, cache_state)
+
+    def _reject(self, status: int, code: str, message: str) -> None:
+        """Answer a structured error without reading the request body.
+
+        The unread body would be parsed as the next request, so the
+        connection closes after the response.
+        """
+        _ERRORS.inc()
+        self.close_connection = True
+        self._respond(
+            status,
+            canonical_json({"error": {"code": code, "message": message}}),
+            "bypass",
+        )
 
     def _respond(self, status: int, data: bytes, cache_state: str) -> None:
         self.send_response(status)

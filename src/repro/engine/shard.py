@@ -243,7 +243,6 @@ def _w6d_environment(world, vantage: VantagePoint) -> VantageEnvironment:
         path_provider=world._path_provider(vantage.asn),
         owner_lookup=world.owner_of_address,
         fault_hook=world.server_fault_hook(),
-        fault_hook_batch=world.server_fault_hook_batch(),
     )
     w6d_round = world.config.adoption.world_ipv6_day_round
     w6d_clock = SimulationClock.world_ipv6_day()

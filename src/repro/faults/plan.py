@@ -20,7 +20,7 @@ from typing import Iterable
 from ..config import FaultConfig
 from ..errors import ConfigError
 from ..net.addresses import AddressFamily
-from ..rng import derive_seed, derive_uniform, derive_uniform_block
+from ..rng import derive_seed, derive_uniform
 
 
 @dataclass(frozen=True)
@@ -75,35 +75,6 @@ class FaultPlan:
             f"dns:{name}:{family.value}:{round_idx}:{attempt}", rate
         )
 
-    def dns_failure_batch(
-        self,
-        name: str,
-        family: AddressFamily,
-        round_idx: int,
-        attempts: Iterable[int],
-    ) -> list[bool]:
-        """Batched :meth:`dns_failure` over a span of attempt indices.
-
-        Element-for-element identical to the scalar calls: each attempt
-        keeps its own full-coordinate stream name, hashed in bulk by
-        :func:`~repro.rng.derive_uniform_block`.
-        """
-        rate = (
-            self.config.aaaa_failure_rate
-            if family is AddressFamily.IPV6
-            else self.config.a_failure_rate
-        )
-        attempts = list(attempts)
-        if rate <= 0.0:
-            return [False] * len(attempts)
-        if rate >= 1.0:
-            return [True] * len(attempts)
-        prefix = f"dns:{name}:{family.value}:{round_idx}:"
-        draws = derive_uniform_block(
-            self._seed, (prefix + str(attempt) for attempt in attempts)
-        )
-        return [draw < rate for draw in draws]
-
     # -- downloads ------------------------------------------------------------
 
     def server_fault(
@@ -137,44 +108,6 @@ class FaultPlan:
         if draw < timeout_rate + reset_rate:
             return ServerFault("reset", cfg.reset_seconds)
         return None
-
-    def server_fault_batch(
-        self,
-        site_id: int,
-        family: AddressFamily,
-        round_idx: int,
-        attempt_keys: Iterable[str],
-        rate_multiplier: float = 1.0,
-    ) -> "list[ServerFault | None]":
-        """Batched :meth:`server_fault` over a span of attempt keys.
-
-        The batched monitor prefetches the fault decisions of a whole
-        probe (or a chunk of loop attempts) in one call; every element
-        equals the scalar method's answer for the same coordinates.
-        """
-        cfg = self.config
-        if family is AddressFamily.IPV6:
-            rate_multiplier *= cfg.v6_fault_multiplier
-        timeout_rate = min(1.0, cfg.server_timeout_rate * rate_multiplier)
-        reset_rate = min(
-            1.0 - timeout_rate, cfg.server_reset_rate * rate_multiplier
-        )
-        attempt_keys = list(attempt_keys)
-        if timeout_rate <= 0.0 and reset_rate <= 0.0:
-            return [None] * len(attempt_keys)
-        prefix = f"server:{site_id}:{family.value}:{round_idx}:"
-        draws = derive_uniform_block(
-            self._seed, (prefix + key for key in attempt_keys)
-        )
-        timeout = ServerFault("timeout", cfg.timeout_seconds)
-        reset = ServerFault("reset", cfg.reset_seconds)
-        both = timeout_rate + reset_rate
-        return [
-            timeout
-            if draw < timeout_rate
-            else (reset if draw < both else None)
-            for draw in draws
-        ]
 
     # -- paths ----------------------------------------------------------------
 

@@ -290,19 +290,6 @@ class MeasurementDatabase:
             self._append_in_order(site_rows, obs)
         self._columnar_cache = None
 
-    def add_faults(self, rows: "list[FaultObservation]") -> None:
-        faults = self.faults
-        for obs in rows:
-            if obs.kind not in FAULT_KINDS:
-                raise MonitorError(f"unknown fault kind {obs.kind!r}")
-            if faults and faults[-1].round_idx > obs.round_idx:
-                raise MonitorError(
-                    f"out-of-order fault insert: round {obs.round_idx} "
-                    f"after {faults[-1].round_idx}"
-                )
-            faults.append(obs)
-        self._columnar_cache = None
-
     def add_transitions(self, rows: "list[TransitionObservation]") -> None:
         transitions = self.transitions
         for obs in rows:

@@ -53,10 +53,6 @@ class RepeatedDownloadOutcome:
     gave_up: bool = False
 
 
-#: loop-attempt fault decisions are prefetched in spans of this many keys.
-_FAULT_BLOCK = 8
-
-
 @lru_cache(maxsize=64)
 def _tcrit_table(confidence: float, max_n: int) -> tuple[float, ...]:
     """Student-t critical values indexed by sample count ``n`` (<= max_n).
@@ -228,117 +224,6 @@ class RepeatedDownloader:
         return RepeatedDownloadOutcome(
             n_samples=acc.n,
             # A loop abandoned before its first success has no mean.
-            mean_speed=acc.mean if acc.n else 0.0,
-            ci_half_width=half_width,
-            converged=converged,
-            page_bytes=first.page_bytes if first is not None else 0,
-            total_seconds=total_seconds,
-            first_result=first,
-            n_failed=n_failed,
-            n_timeouts=n_timeouts,
-            n_resets=n_resets,
-            gave_up=gave_up,
-        )
-
-    def run_batched(
-        self, session: DownloadSession, rng: random.Random
-    ) -> RepeatedDownloadOutcome:
-        """:meth:`run` with fault decisions prefetched in blocks.
-
-        Used by the batched monitor on faulty worlds: instead of one
-        fault-hook call per GET, spans of ``loop:<i>`` attempt keys are
-        resolved through :meth:`HttpClient.fault_batch` (the decisions
-        are pure per-coordinate digests, so prefetching past the last
-        attempt actually taken changes nothing).  Control flow, float
-        accumulation order, shared-RNG draws, and the returned outcome
-        mirror :meth:`run` exactly.
-        """
-        cfg = self._config
-        client = self._client
-        endpoint = session.endpoint
-        site_id = endpoint.site_id
-        family = session.family
-        round_idx = session.round_idx
-        round_mean = session.round_mean
-        page_kbytes = session._page_kbytes
-        sigma = session._noise_sigma
-        acc = RunningStats()
-        total_seconds = 0.0
-        first: DownloadResult | None = None
-        converged = False
-        gave_up = False
-        n_failed = n_timeouts = n_resets = 0
-        consecutive_failed = 0
-        attempt_idx = 0
-        decisions: list = []
-        while acc.n < cfg.max_downloads:
-            if attempt_idx >= len(decisions):
-                start = len(decisions)
-                decisions.extend(
-                    client.fault_batch(
-                        site_id,
-                        family,
-                        round_idx,
-                        [
-                            f"loop:{idx}"
-                            for idx in range(start, start + _FAULT_BLOCK)
-                        ],
-                    )
-                )
-            fault = decisions[attempt_idx]
-            attempt_idx += 1
-            if fault is not None:
-                total_seconds += fault.seconds
-                n_failed += 1
-                if fault.kind == "timeout":
-                    n_timeouts += 1
-                elif fault.kind == "reset":
-                    n_resets += 1
-                if consecutive_failed >= cfg.max_retries:
-                    gave_up = True
-                    break
-                total_seconds += (
-                    cfg.retry_initial_seconds
-                    * cfg.retry_backoff ** consecutive_failed
-                )
-                consecutive_failed += 1
-                continue
-            if sigma > 0:
-                speed = round_mean * math.exp(rng.gauss(0.0, sigma))
-            else:
-                speed = round_mean
-            seconds = page_kbytes / speed
-            total_seconds += seconds
-            consecutive_failed = 0
-            if first is None:
-                first = DownloadResult(
-                    final_name=session.final_name,
-                    family=family,
-                    address=session.address,
-                    server_asn=endpoint.server_asn,
-                    as_path=session.path.as_path,
-                    page_bytes=endpoint.page_bytes,
-                    speed_kbytes_per_sec=speed,
-                    seconds=seconds,
-                )
-            acc.add(speed)
-            if acc.n < cfg.min_downloads:
-                continue
-            interval = interval_from_stats(acc, cfg.confidence)
-            if interval.meets_target(cfg.ci_relative_width):
-                converged = True
-                break
-        _DOWNLOADS.inc(acc.n)
-        _FAILED.inc(n_failed)
-        _LOOP_SAMPLES.observe(acc.n)
-        (_CONVERGED if converged else _EXHAUSTED).inc()
-        if gave_up:
-            _GAVE_UP.inc()
-        if not converged and acc.n >= 2:
-            interval = interval_from_stats(acc, cfg.confidence)
-        half_width = interval.half_width if acc.n >= 2 else 0.0
-        return RepeatedDownloadOutcome(
-            n_samples=acc.n,
             mean_speed=acc.mean if acc.n else 0.0,
             ci_half_width=half_width,
             converged=converged,

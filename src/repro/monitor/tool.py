@@ -148,8 +148,8 @@ class MonitoringTool:
         self._round_faults = 0
         #: name → site id memo (stable for the life of the world).
         self._site_ids: dict[str, int] = {}
-        #: batched execution plane (REPRO_BATCH=0 forces the scalar
-        #: reference path; both produce bit-identical databases).
+        #: batched execution plane for fault-free rounds (REPRO_BATCH=0
+        #: forces the per-site walk; both produce bit-identical databases).
         self._batched = batching_enabled()
         #: lazy per-tool A+AAAA pair resolver (see repro.batch.dnsplan).
         self._pair_resolver = None
@@ -176,10 +176,16 @@ class MonitoringTool:
             order = order[: self.max_sites_per_round]
 
         round_start = self.env.clock.time_of_round(round_idx)
-        if self._batched:
+        if (
+            self._batched
+            and self.env.resolver.fault_check is None
+            and not self.env.client.has_fault_hook
+        ):
             # The batched execution plane: plan the site batch, then
-            # execute it with bulk draws.  Import is deferred — the
-            # batch package's plan/execute modules import this one.
+            # execute it with bulk draws.  Only fault-free worlds take
+            # it; injected faults make site fates execute-time decisions,
+            # which the per-site walk below handles.  Import is deferred
+            # — the batch package's plan/execute modules import this one.
             from ..batch.execute import run_batched_round
 
             return run_batched_round(

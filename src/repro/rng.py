@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .obs import metrics
 
@@ -46,34 +46,14 @@ def derive_uniform(master_seed: int, name: str) -> float:
     ``Random(derive_seed(...)).random()`` idiom at a fraction of the cost
     while staying just as stable across Python versions and processes.
     The 53 bits a ``random.Random`` would deliver are taken from the same
-    8 leading digest bytes :func:`derive_seed` uses.
+    8 leading digest bytes :func:`derive_seed` uses.  It hashes directly
+    instead of going through the memoised :func:`derive_seed`: fault
+    plans ask each per-attempt coordinate about once, and caching those
+    one-shot keys would only churn the LRU that the hot per-round stream
+    names rely on.
     """
-    return (derive_seed(master_seed, name) >> 11) * (2.0**-53)
-
-
-def derive_uniform_block(master_seed: int, names: Iterable[str]) -> list[float]:
-    """Bulk :func:`derive_uniform`: one uniform per coordinate name.
-
-    Element-for-element identical to calling :func:`derive_uniform` on
-    each name in turn.  The block form hashes directly instead of going
-    through the memoised :func:`derive_seed`, because batched callers
-    (fault plans sweeping per-attempt coordinates) ask each key exactly
-    once — caching one-shot keys would only churn the LRU that the hot
-    per-round stream names rely on.
-    """
-    sha256 = hashlib.sha256
-    prefix = f"{master_seed}:"
-    scale = 2.0**-53
-    return [
-        (
-            int.from_bytes(
-                sha256((prefix + name).encode("utf-8")).digest()[:8], "big"
-            )
-            >> 11
-        )
-        * scale
-        for name in names
-    ]
+    digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
+    return (int.from_bytes(digest[:8], "big") >> 11) * (2.0**-53)
 
 
 class RngStreams:

@@ -4,12 +4,6 @@ from .page import WebPage
 from .server import OriginServer
 from .cdn import CDNProvider, CdnDeployment
 from .http import DownloadResult, HttpClient
-from .happyeyeballs import (
-    HappyEyeballsClient,
-    RaceOutcome,
-    race_environment,
-    summarise_races,
-)
 
 __all__ = [
     "WebPage",
@@ -18,8 +12,4 @@ __all__ = [
     "CdnDeployment",
     "DownloadResult",
     "HttpClient",
-    "HappyEyeballsClient",
-    "RaceOutcome",
-    "race_environment",
-    "summarise_races",
 ]

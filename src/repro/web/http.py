@@ -53,10 +53,6 @@ PathProvider = Callable[[int, int, AddressFamily, int], Optional[ForwardingPath]
 OwnerLookup = Callable[[Address], int]
 #: (site_id, family, round, fault_key) -> injected fault or None.
 FaultHook = Callable[[int, AddressFamily, int, str], Optional[ServerFault]]
-#: batched form: (site_id, family, round, fault_keys) -> one decision per key.
-FaultHookBatch = Callable[
-    [int, AddressFamily, int, "list[str]"], "list[Optional[ServerFault]]"
-]
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,14 +182,12 @@ class HttpClient:
         path_provider: PathProvider,
         owner_lookup: OwnerLookup,
         fault_hook: FaultHook | None = None,
-        fault_hook_batch: FaultHookBatch | None = None,
     ) -> None:
         self._model = model
         self._content_lookup = content_lookup
         self._path_provider = path_provider
         self._owner_lookup = owner_lookup
         self._fault_hook = fault_hook
-        self._fault_hook_batch = fault_hook_batch
 
     @property
     def model(self) -> ThroughputModel:
@@ -204,27 +198,6 @@ class HttpClient:
     def has_fault_hook(self) -> bool:
         """Whether GETs consult a fault hook (mirrors the session flag)."""
         return self._fault_hook is not None
-
-    def fault_batch(
-        self,
-        site_id: int,
-        family: AddressFamily,
-        round_idx: int,
-        fault_keys: list[str],
-    ) -> list[ServerFault | None]:
-        """One fault decision per attempt key, for the batched monitor.
-
-        Uses the batched hook when the world wired one in (one digest
-        block per span of attempts); falls back to per-key scalar hook
-        calls so hand-built test environments keep working unchanged.
-        Element-for-element identical to per-GET scalar decisions.
-        """
-        if self._fault_hook_batch is not None:
-            return self._fault_hook_batch(site_id, family, round_idx, fault_keys)
-        hook = self._fault_hook
-        if hook is None:
-            return [None] * len(fault_keys)
-        return [hook(site_id, family, round_idx, key) for key in fault_keys]
 
     def open(
         self,

@@ -2,10 +2,8 @@
 
 The batched execution plane's whole bit-identity argument rests on these
 primitives: ``RngStreams.uniforms`` / ``uniform_block`` must consume a
-shared stream exactly as sequential ``random()`` calls would,
-``gauss_block`` must replicate CPython's Box-Muller partner caching, and
-``derive_uniform_block`` must hash coordinates to the same uniforms the
-scalar fault plan draws.
+shared stream exactly as sequential ``random()`` calls would, and
+``gauss_block`` must replicate CPython's Box-Muller partner caching.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch.sampling import gauss_block, uniform_block
-from repro.rng import RngStreams, derive_uniform, derive_uniform_block
+from repro.rng import RngStreams
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 NAMES = st.text(
@@ -64,13 +62,6 @@ class TestUniformBlocks:
         assert drained.spawn(child).uniforms(name, 8) == pristine.spawn(
             child
         ).uniforms(name, 8)
-
-    @given(seed=SEEDS, names=st.lists(NAMES, max_size=40))
-    @settings(max_examples=60)
-    def test_derive_uniform_block_matches_scalar(self, seed, names):
-        assert derive_uniform_block(seed, names) == [
-            derive_uniform(seed, name) for name in names
-        ]
 
 
 class TestGaussBlocks:

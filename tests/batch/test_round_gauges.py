@@ -8,9 +8,12 @@ high-water mark alive.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.config import small_config
 from repro.core.campaign import run_campaign
 from repro.core.world import build_world
+from repro.faults import fault_preset
 from repro.obs import metrics
 
 CFG = small_config(seed=7, scale=0.5)
@@ -34,5 +37,14 @@ def test_scalar_fallback_leaves_batch_gauges_untouched(monkeypatch):
     monkeypatch.setenv("REPRO_BATCH", "0")
     metrics.get_registry().reset()
     run_campaign(build_world(CFG), n_rounds=1)
+    assert metrics.gauge("monitor.batch.dns_width").value == 0.0
+    assert metrics.gauge("monitor.slot_occupancy").max_value >= 1
+
+
+def test_faulted_rounds_leave_batch_gauges_untouched(monkeypatch):
+    monkeypatch.setenv("REPRO_BATCH", "1")
+    metrics.get_registry().reset()
+    faulted = dataclasses.replace(CFG, faults=fault_preset("mild"))
+    run_campaign(build_world(faulted), n_rounds=1)
     assert metrics.gauge("monitor.batch.dns_width").value == 0.0
     assert metrics.gauge("monitor.slot_occupancy").max_value >= 1

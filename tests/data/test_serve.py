@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -372,3 +374,48 @@ def test_over_http(served_store, small_campaign):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _post_with_length(served_store, content_length: str):
+    """POST with a raw ``Content-Length`` over a real socket.
+
+    Returns (status line, JSON error payload, seconds until the reply).
+    The client never sends a body, so a server that tries to read one
+    would stall until the socket timeout below.
+    """
+    store, digest = served_store
+    server = make_server(
+        ServeConfig(port=0, cache_root=str(store.root), request_timeout=10.0),
+        store,
+    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(server.server_address, timeout=5.0) as sock:
+            started = time.monotonic()
+            sock.sendall(
+                (
+                    f"POST /campaigns/{digest}/query HTTP/1.1\r\n"
+                    "Host: 127.0.0.1\r\n"
+                    f"Content-Length: {content_length}\r\n\r\n"
+                ).encode()
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+            elapsed = time.monotonic() - started
+    finally:
+        server.shutdown()
+        server.server_close()
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0].decode(), json.loads(body), elapsed
+
+
+@pytest.mark.parametrize("content_length", ["-5", "ten"])
+def test_bad_content_length_is_a_prompt_400(served_store, content_length):
+    status_line, payload, elapsed = _post_with_length(
+        served_store, content_length
+    )
+    assert status_line.split()[1] == "400"
+    assert payload["error"]["code"] == "bad_request"
+    assert elapsed < 2.0

@@ -16,6 +16,7 @@ from repro.faults import (
     resolve_faults,
 )
 from repro.net.addresses import AddressFamily
+from repro.rng import derive_seed
 
 V4 = AddressFamily.IPV4
 V6 = AddressFamily.IPV6
@@ -123,6 +124,19 @@ class TestRates:
         plan = FaultPlan(fault_preset("heavy"), master_seed=4)
         assert plan.tunnel_broken(64496, 1) is plan.tunnel_broken(64496, 1)
         assert plan.link_degradation(20, 1) == plan.link_degradation(20, 1)
+
+    def test_one_shot_decisions_bypass_the_seed_cache(self):
+        """Per-attempt coordinates are asked about once; they must not
+        churn the ``derive_seed`` LRU the per-round stream names use."""
+        plan = FaultPlan(fault_preset("heavy"), master_seed=4)
+        before = derive_seed.cache_info()
+        for site in range(40):
+            for family in (V4, V6):
+                for attempt in range(4):
+                    plan.server_fault(site, family, 3, f"probe:{attempt}")
+                    plan.server_fault(site, family, 3, f"loop:{attempt}")
+                    plan.dns_failure(f"site-{site}.example", family, 3, attempt)
+        assert derive_seed.cache_info() == before
 
 
 class TestPresets:
