@@ -53,7 +53,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..errors import DataError
-from ..monitor.aggregate import CentralRepository
+from ..monitor.aggregate import CentralRepository, encode_compact, iter_json_object
 from ..monitor.database import (
     FAULT_KINDS,
     TRANSITION_KINDS,
@@ -490,10 +490,16 @@ class ColumnarDatabase:
         return {name: table.n_rows for name, table in self.tables.items()}
 
     @classmethod
-    def from_database(cls, db: MeasurementDatabase) -> "ColumnarDatabase":
-        """Encode a database by transposing its wire-form rows."""
+    def from_database(
+        cls, db: MeasurementDatabase, data: dict | None = None
+    ) -> "ColumnarDatabase":
+        """Encode a database by transposing its wire-form rows.
+
+        ``data`` is ``db.to_dict()`` when the caller already holds it.
+        """
         _ENCODES.inc()
-        data = db.to_dict()
+        if data is None:
+            data = db.to_dict()
         tables = {
             name: ColumnarTable.from_rows(name, data.get(name, []))
             for name in TABLE_SCHEMAS
@@ -601,11 +607,23 @@ class ColumnarRepository:
     databases: dict[str, ColumnarDatabase] = field(default_factory=dict)
 
     @classmethod
-    def from_repository(cls, repository: CentralRepository) -> "ColumnarRepository":
+    def from_repository(
+        cls, repository: CentralRepository, on_rows=None
+    ) -> "ColumnarRepository":
+        """Transpose every database, converting each to wire rows once.
+
+        ``on_rows(name, data)`` sees each database's ``to_dict()`` rows
+        before they are dropped, so a caller can encode the same rows
+        without a second conversion.
+        """
         vantages, databases = {}, {}
         for vantage, db in repository.items():
+            data = db.to_dict()
+            if on_rows is not None:
+                on_rows(vantage.name, data)
             vantages[vantage.name] = vantage.to_dict()
-            databases[vantage.name] = ColumnarDatabase.from_database(db)
+            databases[vantage.name] = ColumnarDatabase.from_database(db, data)
+            del data  # one database's rows alive at a time
         return cls(vantages=vantages, databases=databases)
 
     def to_repository(self) -> CentralRepository:
@@ -669,68 +687,47 @@ def columnar_view(db: MeasurementDatabase) -> ColumnarDatabase:
 # streaming JSON encode (columnar.json without the full-payload copy)
 
 
-class _LazyPayload:
-    """A placeholder the streaming encoder resolves via ``default=``."""
-
-    __slots__ = ("resolve",)
-
-    def __init__(self, resolve) -> None:
-        self.resolve = resolve
-
-
-def _resolve_lazy(obj):
-    if isinstance(obj, _LazyPayload):
-        return obj.resolve()
-    raise TypeError(
-        f"object of type {type(obj).__name__} is not JSON serializable"
+def _table_chunks(table: ColumnarTable):
+    yield '{"n_rows":' + encode_compact(table.n_rows) + ',"columns":'
+    yield from iter_json_object(
+        (name, (encode_compact(column.to_payload()),))
+        for name, column in table.columns.items()
     )
+    yield "}"
 
 
-def _lazy_table_payload(table: ColumnarTable) -> dict:
-    return {
-        "n_rows": table.n_rows,
-        "columns": {
-            name: _LazyPayload(column.to_payload)
-            for name, column in table.columns.items()
-        },
-    }
-
-
-def _lazy_database_payload(cdb: ColumnarDatabase) -> dict:
-    tables = cdb.tables
-    return {
-        "vantage_name": cdb.vantage_name,
-        "tables": {
-            name: _LazyPayload(lambda n=name: _lazy_table_payload(tables[n]))
-            for name in tables
-        },
-    }
+def _database_chunks(cdb: ColumnarDatabase):
+    yield '{"vantage_name":' + encode_compact(cdb.vantage_name) + ',"tables":'
+    yield from iter_json_object(
+        (name, _table_chunks(table)) for name, table in cdb.tables.items()
+    )
+    yield "}"
 
 
 def iter_columnar_json(repository: ColumnarRepository):
     """Chunks of the canonical ``columnar.json`` text, streamed.
 
     Byte-identical to ``json.dumps(repository.to_payload(),
-    separators=(",", ":"))``, but at most one column's value list is
-    materialised at a time.
+    separators=(",", ":"))``: the framing plus one C-encoded
+    ``column.to_payload()`` per column, so at most one column's value
+    list is materialised at a time.
     """
-    encoder = json.JSONEncoder(separators=(",", ":"), default=_resolve_lazy)
-    head = {
-        "format": COLUMNAR_FORMAT,
-        "vantages": list(repository.vantages.values()),
-        "databases": {
-            name: _LazyPayload(lambda c=cdb: _lazy_database_payload(c))
-            for name, cdb in repository.databases.items()
-        },
-    }
-    return encoder.iterencode(head)
+    yield (
+        '{"format":' + encode_compact(COLUMNAR_FORMAT)
+        + ',"vantages":' + encode_compact(list(repository.vantages.values()))
+        + ',"databases":'
+    )
+    yield from iter_json_object(
+        (name, _database_chunks(cdb))
+        for name, cdb in repository.databases.items()
+    )
+    yield "}"
 
 
 def write_columnar_json(path, repository: ColumnarRepository) -> None:
     """Stream the canonical JSON artifact to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
-        for chunk in iter_columnar_json(repository):
-            handle.write(chunk)
+        handle.writelines(iter_columnar_json(repository))
 
 
 # ---------------------------------------------------------------------------

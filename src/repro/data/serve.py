@@ -877,8 +877,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.send_header("X-Repro-Response-Cache", cache_state)
-        self.end_headers()
-        self.wfile.write(data)
+        # Headers and body leave in one write.  end_headers() would send
+        # the headers alone, and on a kept-alive connection the body's
+        # second small write then waits on Nagle for the client's delayed
+        # ACK.  An HTTP/0.9 request buffers no headers: body only.
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self.wfile.write(head + b"\r\n" + data if head else data)
 
     def log_message(self, fmt: str, *args) -> None:  # route to repro.obs
         _LOG.debug("http " + fmt % args)

@@ -1,14 +1,11 @@
 """Data plane: forwarding paths, throughput model, simulation clock."""
 
 from .clock import SimulationClock
-from .latency import LatencyConfig, LatencyModel
 from .path import ForwardingPath
 from .performance import ThroughputModel
 
 __all__ = [
     "SimulationClock",
-    "LatencyConfig",
-    "LatencyModel",
     "ForwardingPath",
     "ThroughputModel",
 ]

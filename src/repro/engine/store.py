@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from ..config import ScenarioConfig
 from ..errors import ReproError
-from ..monitor.aggregate import CentralRepository
+from ..monitor.aggregate import CentralRepository, WireEncoding
 from ..monitor.database import SERIAL_FORMAT
 from ..monitor.tool import RoundReport
 from ..obs import get_logger, metrics, span
@@ -425,11 +425,7 @@ class CampaignStore:
         entry = self.entry_dir(digest)
         with span("engine.store.save", digest=digest[:12], kind=kind):
             entry.mkdir(parents=True, exist_ok=True)
-            (entry / "repository.json").write_text(
-                json.dumps(repository.to_dict(), separators=(",", ":")),
-                encoding="utf-8",
-            )
-            self._save_columnar(entry, repository, digest)
+            repository_digest = self._save_tables(entry, repository, digest)
             (entry / "reports.json").write_text(
                 json.dumps(
                     {
@@ -453,7 +449,7 @@ class CampaignStore:
                         "digest": digest,
                         "kind": kind,
                         "seed": config.seed,
-                        "repository_digest": repository.content_digest(),
+                        "repository_digest": repository_digest,
                     },
                     indent=2,
                 ),
@@ -467,15 +463,13 @@ class CampaignStore:
         return entry
 
     @staticmethod
-    def _save_columnar(
+    def _save_tables(
         entry: pathlib.Path, repository: CentralRepository, digest: str
-    ) -> None:
-        """Write both columnar artifacts (lazily imported: ``repro.data``
-        itself imports the monitor this module already depends on).
-
-        The JSON form streams column-at-a-time and the binary form
-        writes raw buffer references, so neither materialises a second
-        full copy of the campaign.
+    ) -> str:
+        """Write ``repository.json`` and both columnar artifacts from one
+        wire conversion per database; returns the repository's content
+        digest.  (Lazy import: ``repro.data`` itself imports the monitor
+        this module already depends on.)
         """
         from ..data.columnar import (
             ColumnarRepository,
@@ -483,13 +477,19 @@ class CampaignStore:
             write_columnar_json,
         )
 
-        columnar = ColumnarRepository.from_repository(repository)
+        encoding = WireEncoding(repository)
+        columnar = ColumnarRepository.from_repository(
+            repository, on_rows=encoding.add
+        )
+        with open(entry / "repository.json", "w", encoding="utf-8") as handle:
+            handle.writelines(encoding.iter_json())
         write_columnar_json(entry / "columnar.json", columnar)
         bin_digest = write_columnar_binary(entry / "columnar.bin", columnar)
         _LOG.debug(
             "columnar artifacts written",
             extra={"digest": digest[:12], "bin_digest": bin_digest[:12]},
         )
+        return encoding.content_digest()
 
     @staticmethod
     def _save_world(path: pathlib.Path, world, digest: str) -> None:

@@ -17,6 +17,18 @@ from ..errors import MonitorError
 from .database import MeasurementDatabase
 from .vantage import VantagePoint
 
+#: the compact wire encoding, run by the one-shot C encoder.
+encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def iter_json_object(members):
+    """Chunks of one compact JSON object from ``(key, value chunks)`` pairs."""
+    yield "{"
+    for i, (key, chunks) in enumerate(members):
+        yield ("," if i else "") + encode_compact(key) + ":"
+        yield from chunks
+    yield "}"
+
 
 @dataclass
 class CentralRepository:
@@ -122,7 +134,51 @@ class CentralRepository:
         process) produced them — the engine's equivalence tests and the
         CI serial-vs-process gate compare exactly this value.
         """
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
+        encoding = WireEncoding(self)
+        for name, db in self._databases.items():
+            encoding.add(name, db.to_dict())
+        return encoding.content_digest()
+
+
+class WireEncoding:
+    """A repository's :meth:`~CentralRepository.to_dict` form, JSON-encoded
+    once per table.
+
+    ``repository.json`` and the sorted-key text behind
+    :meth:`content_digest` are both framed from the same encoded tables.
+    Wire values are scalars or lists, which ``sort_keys`` leaves untouched.
+    """
+
+    def __init__(self, repository: CentralRepository) -> None:
+        self.vantages = [v.to_dict() for v in repository._vantages.values()]
+        #: vantage name -> wire key -> its encoded JSON value.
+        self.databases: dict[str, dict[str, str]] = {}
+
+    def add(self, name: str, data: dict) -> None:
+        """Encode one database's :meth:`MeasurementDatabase.to_dict` output."""
+        self.databases[name] = {
+            key: encode_compact(value) for key, value in data.items()
+        }
+
+    def _iter_databases(self, order):
+        return iter_json_object(
+            (name, iter_json_object((key, (tables[key],)) for key in order(tables)))
+            for name, tables in order(self.databases.items())
         )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def iter_json(self):
+        """Chunks of ``json.dumps(to_dict(), separators=(",", ":"))``."""
+        yield '{"vantages":' + encode_compact(self.vantages) + ',"databases":'
+        yield from self._iter_databases(list)
+        yield "}"
+
+    def content_digest(self) -> str:
+        """:meth:`CentralRepository.content_digest`: the same dict dumped
+        with ``sort_keys=True``, hashed chunk by chunk (``ensure_ascii``
+        keeps every chunk ASCII)."""
+        vantages = json.dumps(self.vantages, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(b'{"databases":')
+        for chunk in self._iter_databases(sorted):
+            digest.update(chunk.encode("ascii"))
+        digest.update(f',"vantages":{vantages}}}'.encode("ascii"))
+        return digest.hexdigest()

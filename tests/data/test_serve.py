@@ -419,3 +419,47 @@ def test_bad_content_length_is_a_prompt_400(served_store, content_length):
     assert status_line.split()[1] == "400"
     assert payload["error"]["code"] == "bad_request"
     assert elapsed < 2.0
+
+
+def test_keep_alive_requests_do_not_stall(served_store, small_campaign):
+    """Sequential requests on one kept-alive connection answer promptly.
+
+    A response written as two small sends (headers, then body) waits on
+    Nagle for the client's delayed ACK, about 40 ms per request; 200
+    requests would take about 8 s.  Every body must still equal the
+    direct computation.
+    """
+    import http.client
+
+    from repro.data.loadtest import PlannedRequest, direct_response
+
+    store, digest = served_store
+    vantage = sorted(small_campaign.repository.vantage_names)[0]
+    requests = [
+        PlannedRequest(kind="detail", method="GET", path=f"/campaigns/{digest}"),
+        PlannedRequest(
+            kind="classify",
+            method="GET",
+            path=f"/campaigns/{digest}/analysis/classify",
+            params=(("vantage", vantage),),
+        ),
+    ]
+    expected = [direct_response(store, request) for request in requests]
+    server = make_server(ServeConfig(port=0, cache_root=str(store.root)), store)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    connection = http.client.HTTPConnection(*server.server_address, timeout=10.0)
+    try:
+        started = time.monotonic()
+        for i in range(200):
+            request = requests[i % len(requests)]
+            connection.request("GET", request.url(""))
+            response = connection.getresponse()
+            assert response.status == 200
+            assert response.read() == expected[i % len(requests)]
+        elapsed = time.monotonic() - started
+    finally:
+        connection.close()
+        server.shutdown()
+        server.server_close()
+    assert elapsed < 2.0, f"200 kept-alive requests took {elapsed:.2f} s"
