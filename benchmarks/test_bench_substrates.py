@@ -74,7 +74,6 @@ class TestWorldBench:
     def test_bench_one_monitoring_round(self, benchmark):
         cfg = small_config(seed=6)
         world = build_world(cfg)
-        world.advance_to_round(0)
         from repro.monitor.tool import MonitoringTool
 
         def one_round():

@@ -5,8 +5,9 @@ its A/AAAA answers, whether both families have forwarding paths, whether
 the two pages are byte-identical — is a pure function of (site, round):
 none of it touches the vantage's shared RNG stream or the simulated
 clock.  :func:`build_round_plan` therefore resolves the whole batch up
-front: one :class:`~repro.batch.dnsplan.PairResolver` sweep for the DNS
-phase, two :meth:`~repro.web.http.HttpClient.open_many` sweeps for the
+front: the :class:`~repro.batch.dnsplan.PairResolver` files every site
+as dual-stack or not (re-resolving only the sites whose DNS changed),
+then two :meth:`~repro.web.http.HttpClient.open_many` sweeps open the
 sessions (IPv4 for every dual-stack site, then IPv6 only where IPv4 was
 reachable, exactly the order the scalar opens probed reachability in),
 and the page-identity comparison straight off the pinned endpoints.
@@ -75,42 +76,50 @@ def build_round_plan(
     pair_resolver: PairResolver | None = tool._pair_resolver
     if pair_resolver is None:
         pair_resolver = tool._pair_resolver = PairResolver(env.resolver)
+    pair_resolver.sync()
     site_ids = tool._site_ids
     site_id_of = env.site_id_of
-    resolve_pair = pair_resolver.resolve_pair
+    filed = pair_resolver.sites.get
+    resolve = pair_resolver.resolve
 
     sites: list[SitePlan | None] = []
     dns_rows: list[DnsObservation] = []
     dual: list[tuple[SitePlan, object, object]] = []
-    n_listed = n_listed_v4 = n_listed_v6 = 0
+    n_resolved = 0
     for name in order:
+        pair = filed(name)
+        if pair is None:
+            # First sight of the site, or its DNS changed since last round.
+            pair = resolve(name)
+            n_resolved += 1
+        if not pair:
+            sites.append(None)
+            continue
         site_id = site_ids.get(name)
         if site_id is None:
             site_id = site_ids[name] = site_id_of(name)
-        res4, res6 = resolve_pair(name)
-        has_v4 = res4 is not None
-        has_v6 = res6 is not None
-        listed = name in listed_now
-        if listed:
-            n_listed += 1
-            n_listed_v4 += has_v4
-            n_listed_v6 += has_v6
-        if has_v4 and has_v6:
-            dns_rows.append(
-                DnsObservation(
-                    site_id=site_id,
-                    name=name,
-                    round_idx=round_idx,
-                    has_v4=True,
-                    has_v6=True,
-                    listed=listed,
-                )
+        dns_rows.append(
+            DnsObservation(
+                site_id=site_id,
+                name=name,
+                round_idx=round_idx,
+                has_v4=True,
+                has_v6=True,
+                listed=name in listed_now,
             )
-            plan = SitePlan(name=name, site_id=site_id, kind=DNS_FILTERED)
-            sites.append(plan)
-            dual.append((plan, res4, res6))
-        else:
-            sites.append(None)
+        )
+        plan = SitePlan(name=name, site_id=site_id, kind=DNS_FILTERED)
+        sites.append(plan)
+        dual.append((plan, pair[0], pair[1]))
+    pair_resolver.account(len(order), n_resolved)
+    # Every dispatched site is filed now, so the top-list tallies are
+    # set intersections rather than a per-site count.
+    listed = listed_now.intersection(order)
+    listed_counts = (
+        len(listed),
+        len(listed) - len(listed & pair_resolver.no_v4),
+        len(listed & pair_resolver.v6),
+    )
 
     client = env.client
     sessions_v4 = client.open_many(
@@ -160,7 +169,7 @@ def build_round_plan(
     return RoundPlan(
         round_idx=round_idx,
         sites=sites,
-        listed_counts=(n_listed, n_listed_v4, n_listed_v6),
+        listed_counts=listed_counts,
         dns_rows=dns_rows,
         page_rows=page_rows,
     )

@@ -13,8 +13,9 @@ Both drivers are thin shells over the execution engine: they build one
 batch to an :class:`~repro.engine.executor.Executor` (serial in-process
 by default, a process pool with ``--backend process``), and merge the
 returned shard payloads into a :class:`CampaignResult`.  Per-vantage RNG
-streams and private DNS timelines make the merge order-independent, so
-every backend yields bit-identical repositories.
+streams and per-shard cursors over the world's one DNS timeline make the
+merge order-independent, so every backend yields bit-identical
+repositories.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from ..engine.executor import make_executor
 from ..engine.shard import W6D, WEEKLY, ShardResult, VantageShard
 from ..errors import ConfigError
 from ..monitor.aggregate import CentralRepository
-from ..monitor.database import MeasurementDatabase
 from ..monitor.tool import RoundReport
 from ..monitor.vantage import VantagePoint
 from ..obs import get_logger, metrics, span
@@ -74,15 +74,16 @@ def merge_shard_results(
 ) -> CampaignResult:
     """Fold executed shards back into one campaign result.
 
-    Shard payloads are plain dicts (they may have crossed a process
-    boundary); each is rebuilt here and registered with the central
-    repository in shard order.
+    Each shard's database is adopted as is (a worker's arrived rebuilt
+    from its wire form by unpickling); vantage and report payloads are
+    plain dicts.  Databases register with the central repository in
+    shard order.
     """
     repository = CentralRepository()
     reports: dict[str, list[RoundReport]] = {}
     for result in results:
         vantage = VantagePoint.from_dict(result.vantage)
-        repository.add(vantage, MeasurementDatabase.from_dict(result.database))
+        repository.add(vantage, result.database)
         reports[vantage.name] = [
             RoundReport.from_dict(r) for r in result.reports
         ]
@@ -120,6 +121,7 @@ def run_campaign(
         backend=executor.name,
     ):
         results = executor.run(shards, world=world)
+        world.release_dns_timeline()
         with span("campaign.aggregate"):
             merged = merge_shard_results(world, results)
     rounds_counter.inc(n_rounds)
@@ -182,6 +184,7 @@ def run_world_ipv6_day(
         backend=executor.name,
     ):
         results = executor.run(shards, world=world)
+        world.release_dns_timeline()
         merged = merge_shard_results(world, results)
     _LOG.info(
         "w6d campaign complete",

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from ..bgp.routing import PathOracle, Route
 from ..config import ScenarioConfig
 from ..dataplane.clock import SimulationClock
 from ..dataplane.path import ForwardingPath
 from ..dataplane.performance import ThroughputModel
-from ..dns.records import RecordType, ResourceRecord
+from ..dns.records import RecordType, ResourceRecord, RRSet
 from ..dns.resolver import Resolver
-from ..dns.zone import ZoneStore
+from ..dns.timeline import DnsTimeline, Schedule, TimelineCursor
+from ..dns.zone import ZoneSource
 from ..errors import ConfigError
 from ..faults.plan import FaultPlan, ServerFault
 from ..monitor.vantage import VantageKind, VantagePoint
@@ -63,7 +65,6 @@ class World:
     dualstack: DualStackTopology
     catalog: SiteCatalog
     model: ThroughputModel
-    zones: ZoneStore
     clock: SimulationClock
     vantages: list[VantagePoint]
     oracle: PathOracle
@@ -93,8 +94,22 @@ class World:
     _translated_cache: dict[tuple[int, int], ForwardingPath | None] = field(
         default_factory=dict, repr=False
     )
-    _zone_round: int = -1
-    _publisher: "ZonePublisher | None" = field(default=None, repr=False)
+    #: the DNS history every vantage reads (built on first use).
+    _dns_timeline: DnsTimeline | None = field(default=None, repr=False)
+
+    def __getstate__(self) -> dict:
+        """Pickle the world without its memo caches.
+
+        Addresses, paths, owners, endpoints, NAT64 legs and the DNS
+        timeline (with its shared answers) are pure functions of the
+        config and the built world; a loaded world rebuilds them on
+        demand, exactly as a fresh one does.
+        """
+        state = self.__dict__.copy()
+        for name in _MEMO_FIELDS:
+            state[name] = {}
+        state["_dns_timeline"] = None
+        return state
 
     # -- addressing -------------------------------------------------------------
 
@@ -115,50 +130,67 @@ class World:
         self._addresses[key] = address
         return address
 
-    # -- DNS lifecycle ------------------------------------------------------------
+    # -- DNS -----------------------------------------------------------------
 
-    def advance_to_round(self, round_idx: int) -> None:
-        """Publish DNS records that exist as of ``round_idx``.
+    def dns_timeline(self) -> DnsTimeline:
+        """The world's DNS history (see :mod:`repro.dns.timeline`).
 
-        A records for every site are published up front; each site's AAAA
-        record appears at its adoption round.  Idempotent and monotone.
-        Delegates to a :class:`ZonePublisher` over the shared ``zones``
-        store; campaign shards create their own publishers instead so
-        vantage points can execute independently.
+        Built on first use, not in :func:`build_world`: a world that
+        never resolves a name never pays for it.
         """
-        if self._publisher is None:
-            self._publisher = ZonePublisher(
-                world=self, store=self.zones, published_round=self._zone_round
-            )
-        self._publisher.advance_to(round_idx)
-        self._zone_round = self._publisher.published_round
+        timeline = self._dns_timeline
+        if timeline is None:
+            timeline = self._dns_timeline = DnsTimeline(self._dns_schedules())
+        return timeline
 
-    def zone_snapshot(self, round_idx: int) -> ZoneStore:
-        """A standalone ZoneStore reflecting DNS as of ``round_idx``.
+    def release_dns_timeline(self) -> None:
+        """Free the DNS timeline and its shared answers.
 
-        The live store mutates as the campaign advances; experiments that
-        revisit a past round (the World IPv6 Day campaign monitors *at*
-        the event round) resolve against a snapshot instead.
+        Campaign drivers call this once their shards are done: the
+        timeline is the campaign's working set, and the analysis that
+        follows on the same world never reads it.  The next
+        :meth:`dns_timeline` call rebuilds it.
         """
-        store = ZoneStore()
-        zone = store.zone_for("example.")
+        self._dns_timeline = None
+
+    def dns_cursor(self, round_idx: int = 0) -> TimelineCursor:
+        """A fresh cursor over the DNS timeline, positioned at ``round_idx``."""
+        return TimelineCursor(self.dns_timeline(), round_idx)
+
+    def _dns_schedules(self) -> Iterator[Schedule]:
+        """Every site's record sets from round 0 and at each change.
+
+        An A record exists from round 0; the AAAA record follows
+        :meth:`Site.v6_accessible_at`, so it can only change at the
+        site's adoption round, its World IPv6 Day event round and the
+        round after the event.
+        """
+        v4, v6 = AddressFamily.IPV4, AddressFamily.IPV6
         for site in self.catalog.sites:
-            zone.add(
-                ResourceRecord(
-                    name=site.name,
-                    rtype=RecordType.A,
-                    value=self.address_of(site, AddressFamily.IPV4),
-                )
-            )
-            if site.v6_accessible_at(round_idx):
-                zone.add(
-                    ResourceRecord(
-                        name=site.name,
-                        rtype=RecordType.AAAA,
-                        value=self.address_of(site, AddressFamily.IPV6),
-                    )
-                )
-        return store
+            name = site.name
+            v4_only = {
+                RecordType.A: _rrset(name, RecordType.A, self.address_of(site, v4))
+            }
+            candidates = {site.adoption_round, site.w6d_event_round}
+            if site.w6d_event_round is not None:
+                candidates.add(site.w6d_event_round + 1)
+            states = [(0, site.v6_accessible_at(0))]
+            for round_idx in sorted(c for c in candidates if c is not None and c > 0):
+                has_v6 = site.v6_accessible_at(round_idx)
+                if has_v6 != states[-1][1]:
+                    states.append((round_idx, has_v6))
+            dual = v4_only
+            if any(has_v6 for _, has_v6 in states):
+                dual = {
+                    **v4_only,
+                    RecordType.AAAA: _rrset(
+                        name, RecordType.AAAA, self.address_of(site, v6)
+                    ),
+                }
+            yield name, [
+                (round_idx, dual if has_v6 else v4_only)
+                for round_idx, has_v6 in states
+            ]
 
     # -- per-vantage wiring ---------------------------------------------------------
 
@@ -396,13 +428,14 @@ class World:
         return hook
 
     def environment_for(
-        self, vantage: VantagePoint, zones: ZoneStore | None = None
+        self, vantage: VantagePoint, zones: ZoneSource | None = None
     ) -> VantageEnvironment:
         """Build the monitoring environment of one vantage point.
 
-        ``zones`` overrides the resolver's zone store; campaign shards
-        pass their own :class:`ZonePublisher` store so each vantage can
-        advance the DNS timeline independently of the others.
+        ``zones`` is what the resolver reads DNS from; it defaults to a
+        fresh :meth:`dns_cursor` at round 0.  Campaign shards pass their
+        own cursor so each vantage advances through the DNS timeline
+        independently of the others.
         """
         dns64_on = self.config.dns64.applies_to(vantage.name)
         if dns64_on:
@@ -448,7 +481,7 @@ class World:
 
         return VantageEnvironment(
             resolver=Resolver(
-                store=zones if zones is not None else self.zones,
+                store=zones if zones is not None else self.dns_cursor(),
                 fault_check=self.dns_fault_check(),
                 dns64=dns64_on,
             ),
@@ -468,102 +501,6 @@ class World:
 
     def monitor_rng(self, vantage: VantagePoint) -> random.Random:
         return self.rngs.stream(f"monitor:{vantage.name}")
-
-
-@dataclass
-class ZonePublisher:
-    """Publishes site DNS records round by round into one zone store.
-
-    The DNS timeline — A records up front, each AAAA at its site's
-    adoption round, event-day records added and removed around World
-    IPv6 Day — is a pure function of the catalog, so any number of
-    publishers over the same world expose identical zone contents at
-    the same round.  That is what lets campaign shards (one vantage
-    each, possibly in different processes) resolve against private
-    stores yet observe exactly the DNS the shared store would have
-    shown.
-    """
-
-    world: World
-    store: ZoneStore = field(default_factory=ZoneStore)
-    #: last round whose records have been published (-1 = nothing yet).
-    published_round: int = -1
-    #: lazily-built index: round → sites whose AAAA state can change there
-    #: (adoption round, event day, day after the event).  Advancing a
-    #: round then touches the handful of transitioning sites instead of
-    #: re-checking the whole catalog.
-    _events_by_round: dict[int, list] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def _transition_candidates(self, start: int, round_idx: int) -> list:
-        """Sites whose v6 accessibility may differ across [start, round_idx]."""
-        if self._events_by_round is None:
-            index: dict[int, list] = {}
-            for site in self.world.catalog.sites:
-                rounds = set()
-                if site.adoption_round is not None:
-                    rounds.add(site.adoption_round)
-                if site.w6d_event_round is not None:
-                    rounds.add(site.w6d_event_round)
-                    rounds.add(site.w6d_event_round + 1)
-                for r in rounds:
-                    index.setdefault(r, []).append(site)
-            self._events_by_round = index
-        seen: set[int] = set()
-        candidates = []
-        for r in range(start, round_idx + 1):
-            for site in self._events_by_round.get(r, ()):
-                if site.site_id not in seen:
-                    seen.add(site.site_id)
-                    candidates.append(site)
-        return candidates
-
-    def advance_to(self, round_idx: int) -> None:
-        """Publish records that exist as of ``round_idx`` (idempotent)."""
-        if round_idx <= self.published_round:
-            return
-        world = self.world
-        zone = self.store.zone_for("example.")
-        start = self.published_round + 1
-        if self.published_round < 0:
-            for site in world.catalog.sites:
-                zone.add(
-                    ResourceRecord(
-                        name=site.name,
-                        rtype=RecordType.A,
-                        value=world.address_of(site, AddressFamily.IPV4),
-                    )
-                )
-        for site in self._transition_candidates(start, round_idx):
-            published = site.v6_accessible_at(self.published_round) if (
-                self.published_round >= 0
-            ) else False
-            target = site.v6_accessible_at(round_idx)
-            # Event-day-only AAAA records may need an add *and* a remove
-            # within the advanced window (e.g. jumping past the event).
-            event = site.w6d_event_round
-            transient_event = (
-                event is not None
-                and start <= event <= round_idx
-                and not target
-                and not published
-            )
-            if target and not published:
-                zone.add(
-                    ResourceRecord(
-                        name=site.name,
-                        rtype=RecordType.AAAA,
-                        value=world.address_of(site, AddressFamily.IPV6),
-                    )
-                )
-            elif published and not target:
-                zone.remove(site.name, RecordType.AAAA)
-            elif transient_event:
-                # The event came and went entirely inside this window; the
-                # zone ends up unchanged.
-                pass
-        self.published_round = round_idx
 
 
 def _vantage_candidates(topo: DualStackTopology) -> list[int]:
@@ -668,6 +605,26 @@ def build_vantages(
     return vantages
 
 
+#: World fields holding derived memo caches (left out of its pickle).
+_MEMO_FIELDS = (
+    "_addresses",
+    "_path_cache",
+    "_owner_cache",
+    "_endpoint_cache",
+    "_nat64_distances",
+    "_vantage_gateway",
+    "_translated_cache",
+)
+
+
+def _rrset(name: str, rtype: RecordType, address: Address) -> RRSet:
+    return RRSet(
+        name=name,
+        rtype=rtype,
+        records=(ResourceRecord(name=name, rtype=rtype, value=address),),
+    )
+
+
 _LOG = get_logger("core.world")
 #: translated connections refused because the gateway was down (module
 #: cached: ``obs`` resets metrics in place).
@@ -721,7 +678,6 @@ def build_world(config: ScenarioConfig) -> World:
             dualstack=dualstack,
             catalog=catalog,
             model=model,
-            zones=ZoneStore(),
             clock=SimulationClock.weekly(),
             vantages=vantages,
             oracle=oracle,

@@ -614,7 +614,9 @@ class ColumnarRepository:
 
         ``on_rows(name, data)`` sees each database's ``to_dict()`` rows
         before they are dropped, so a caller can encode the same rows
-        without a second conversion.
+        without a second conversion.  Each transpose is also memoised
+        on its database, so a later :func:`columnar_view` (the analysis
+        after a save) reuses it instead of encoding again.
         """
         vantages, databases = {}, {}
         for vantage, db in repository.items():
@@ -622,7 +624,8 @@ class ColumnarRepository:
             if on_rows is not None:
                 on_rows(vantage.name, data)
             vantages[vantage.name] = vantage.to_dict()
-            databases[vantage.name] = ColumnarDatabase.from_database(db, data)
+            cdb = ColumnarDatabase.from_database(db, data)
+            databases[vantage.name] = db._columnar_cache = cdb
             del data  # one database's rows alive at a time
         return cls(vantages=vantages, databases=databases)
 

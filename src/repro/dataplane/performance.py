@@ -53,6 +53,12 @@ class ThroughputModel:
         self._faults = faults
         self._round_factors: dict[tuple[int, str, int], float] = {}
 
+    def __getstate__(self) -> dict:
+        """Pickle without the round-factor memo (re-derived from the seed)."""
+        state = self.__dict__.copy()
+        state["_round_factors"] = {}
+        return state
+
     def path_factor(self, path: ForwardingPath) -> float:
         """Multiplicative slowdown of a forwarding path.
 

@@ -16,7 +16,7 @@ from ..net.addresses import Address, AddressFamily
 from ..net.nat64 import synthesize_aaaa
 from ..obs import metrics
 from .records import RecordType, RRSet
-from .zone import ZoneStore
+from .zone import ZoneSource
 
 #: Maximum CNAME chain length before we declare a loop.
 MAX_CNAME_DEPTH = 8
@@ -70,9 +70,10 @@ class _CacheEntry:
 
 @dataclass
 class Resolver:
-    """Caching resolver over a :class:`ZoneStore`."""
+    """Caching resolver over a zone source: a world's DNS timeline cursor
+    or a hand-built :class:`~repro.dns.zone.ZoneStore`."""
 
-    store: ZoneStore
+    store: ZoneSource
     _cache: dict[tuple[str, RecordType], _CacheEntry] = field(default_factory=dict)
     #: statistics: (hits, misses) for observability and tests.
     hits: int = 0

@@ -8,14 +8,21 @@ only ever issues direct A/AAAA lookups for site names.
 Lookups go through a :class:`ZoneView`: a per-name index over the store
 that collects *all* of a name's record sets in one pass ("one zone walk")
 and memoises the result.  Invalidation is per-name and push-based: a zone
-mutation evicts only that name's entry, so a round that publishes AAAA
-records for a handful of adopting sites re-walks those names alone — the
-rest of the namespace stays warm across rounds.
+mutation evicts only that name's entry and pushes the name to every
+watcher (:meth:`ZoneView.watch`), so a round that publishes AAAA records
+for a handful of adopting sites re-walks those names alone — the rest of
+the namespace stays warm across rounds.
+
+A simulated world does not mutate zones at all: it reads one immutable
+:class:`~repro.dns.timeline.DnsTimeline` through per-vantage cursors that
+speak the same view protocol (:class:`ZoneSource`).  Hand-built
+:class:`ZoneStore` s remain the tool for tests that mutate DNS directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol
 
 from ..errors import DnsError, NxDomain
 from ..obs import metrics
@@ -110,9 +117,15 @@ class Zone:
         return sum(len(records) for records in self._records.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NameEntry:
-    """Everything the store knows about one name, gathered in one walk."""
+    """Everything the store knows about one name, gathered in one walk.
+
+    Entries are immutable and replaced (never mutated) when a name
+    changes, so equality and hashing are by identity: the same entry
+    object proves the same record sets, and derived caches (the batch
+    plane's A/AAAA answers) key on it.
+    """
 
     name: str
     exists: bool
@@ -137,18 +150,24 @@ class ZoneView:
     def __init__(self, store: "ZoneStore") -> None:
         self._store = store
         self._entries: dict[str, NameEntry] = {}
+        self._watchers: list[set[str]] = []
+        #: answers derived from this view's entries, shared by every
+        #: reader (see :class:`~repro.batch.dnsplan.PairResolver`).
+        self.answers: dict = {}
 
-    def cached(self, name: str) -> NameEntry | None:
-        """The memoised entry for ``name``, or None — never walks.
+    def watch(self) -> set[str]:
+        """A set that collects every name invalidated from now on.
 
-        Entry objects are immutable and replaced (never mutated) when a
-        name is re-walked after invalidation, so *object identity* of a
-        cached entry proves the underlying zone data is unchanged.
-        Derived caches (the batch plane's per-name DNS answers) pin the
-        entry objects they were computed from and revalidate with one
-        ``is`` check per chain element.
+        The watcher owns the set and clears it once it has caught up.
         """
-        return self._entries.get(name)
+        names: set[str] = set()
+        self._watchers.append(names)
+        return names
+
+    def _invalidate(self, name: str) -> None:
+        self._entries.pop(name, None)
+        for names in self._watchers:
+            names.add(name)
 
     def entry(self, name: str) -> NameEntry:
         cached = self._entries.get(name)
@@ -168,6 +187,18 @@ class ZoneView:
         entry = NameEntry(name=name, exists=exists, rrsets=rrsets)
         self._entries[name] = entry
         return entry
+
+
+class ZoneSource(Protocol):
+    """What a resolver reads DNS from: a :class:`ZoneStore`, or a world's
+    :class:`~repro.dns.timeline.TimelineCursor`.
+
+    ``view()`` returns an object with ``entry(name)`` (the name's
+    :class:`NameEntry`), ``watch()`` (a set that collects invalidated
+    names) and ``answers`` (a memo of derived answers, keyed by entries).
+    """
+
+    def view(self): ...
 
 
 @dataclass
@@ -194,7 +225,7 @@ class ZoneStore:
         """Evict one name from the live view (called by mutating zones)."""
         view = self._view
         if view is not None:
-            view._entries.pop(name, None)
+            view._invalidate(name)
 
     def view(self) -> ZoneView:
         """The store's per-name view (created once, evicted name-by-name).

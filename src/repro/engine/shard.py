@@ -6,18 +6,22 @@ central repository.  A :class:`VantageShard` captures one vantage point's
 share of a campaign as plain data (scenario config, vantage name, round
 count, RNG stream name), so it can be executed in-process or pickled to a
 worker process; :func:`execute_shard` turns a shard into a
-:class:`ShardResult` whose payloads are the compact dict forms of
-:class:`~repro.monitor.database.MeasurementDatabase` and
-:class:`~repro.monitor.tool.RoundReport` — JSON-ready, so the same bytes
-cross process boundaries and land in the on-disk campaign store.
+:class:`ShardResult` carrying the shard's
+:class:`~repro.monitor.database.MeasurementDatabase` itself, plus the
+compact dict forms of the vantage and its
+:class:`~repro.monitor.tool.RoundReport` s.  In process the database is
+handed over as is; crossing to a worker's parent it pickles to its wire
+form (``MeasurementDatabase.__reduce__``), the same rows the on-disk
+campaign store holds.
 
 Determinism: each vantage draws from its own named RNG stream, round
 noise is derived per (site, family, round) from the master seed, and the
-DNS timeline is a pure function of the catalog (each shard owns a
-:class:`~repro.core.world.ZonePublisher`).  A shard therefore produces
-the same database whether it runs interleaved with its siblings, alone in
-this process, or in a worker that rebuilt the world from the config —
-which is why serial and process backends yield bit-identical repositories.
+DNS timeline is a pure function of the catalog (each shard reads it
+through its own :class:`~repro.dns.timeline.TimelineCursor`).  A shard
+therefore produces the same database whether it runs interleaved with
+its siblings, alone in this process, or in a worker that rebuilt the
+world from the config — which is why serial and process backends yield
+bit-identical repositories.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from ..config import ScenarioConfig
 from ..dataplane.clock import SimulationClock
 from ..dns.resolver import Resolver
 from ..errors import EngineError
+from ..monitor.database import MeasurementDatabase
 from ..monitor.tool import MonitoringTool, RoundReport, VantageEnvironment
 from ..monitor.vantage import VantagePoint
 from ..net.addresses import AddressFamily
@@ -66,10 +71,11 @@ class VantageShard:
 
 @dataclass
 class ShardResult:
-    """What one executed shard sends back: JSON-ready payloads only."""
+    """What one executed shard sends back: its database, plus JSON-ready
+    vantage and report payloads."""
 
     vantage: dict
-    database: dict
+    database: MeasurementDatabase
     reports: list[dict]
     wall_seconds: float
 
@@ -155,21 +161,19 @@ def execute_shard(shard: VantageShard, world=None) -> ShardResult:
     )
     return ShardResult(
         vantage=vantage.to_dict(),
-        database=database.to_dict(),
+        database=database,
         reports=[r.to_dict() for r in reports],
         wall_seconds=wall,
     )
 
 
 def _run_weekly_shard(world, shard: VantageShard):
-    """One vantage point's weekly campaign against a private DNS timeline."""
-    from ..core.world import ZonePublisher
-
+    """One vantage point's weekly campaign, on its own DNS timeline cursor."""
     vantage = _vantage_named(world, shard.vantage_name)
-    publisher = ZonePublisher(world=world)
+    cursor = world.dns_cursor()
     tool = MonitoringTool(
         vantage=vantage,
-        env=world.environment_for(vantage, zones=publisher.store),
+        env=world.environment_for(vantage, zones=cursor),
         config=world.config.monitor,
         rng=world.rngs.fresh(shard.rng_stream),
         max_sites_per_round=shard.max_sites_per_round,
@@ -177,7 +181,7 @@ def _run_weekly_shard(world, shard: VantageShard):
     reports: list[RoundReport] = []
     for round_idx in range(shard.n_rounds):
         with span("campaign.round", round=round_idx, vantage=vantage.name):
-            publisher.advance_to(round_idx)
+            cursor.advance_to(round_idx)
             reports.append(tool.run_round(round_idx))
     return vantage, tool.database, reports
 
@@ -248,7 +252,7 @@ def _w6d_environment(world, vantage: VantagePoint) -> VantageEnvironment:
     w6d_clock = SimulationClock.world_ipv6_day()
     return VantageEnvironment(
         resolver=Resolver(
-            store=world.zone_snapshot(w6d_round),
+            store=world.dns_cursor(w6d_round),
             fault_check=world.dns_fault_check(w6d_clock),
         ),
         client=client,

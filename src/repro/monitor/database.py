@@ -438,6 +438,12 @@ class MeasurementDatabase:
 
     # -- serialization ------------------------------------------------------------
 
+    def __reduce__(self):
+        """Pickle as the wire form: a process-pool shard result crosses
+        back to its parent as exactly the rows the store writes (cheaper
+        to pickle than the row objects)."""
+        return (MeasurementDatabase.from_dict, (self.to_dict(),))
+
     def to_dict(self) -> dict:
         """Compact JSON-ready form of every table.
 

@@ -167,18 +167,19 @@ def round_loop(seed: int, scale: float) -> WorkloadResult:
 def dns_phase(seed: int, scale: float) -> WorkloadResult:
     """The DNS phase alone: every site resolved for both families.
 
-    Publishes the final round's records, then issues the monitor's
-    A + AAAA query pair for every catalog site — the workload that
-    exposes authoritative-walk and cache-accounting regressions.
+    Positions a DNS timeline cursor at the final round, then issues the
+    monitor's A + AAAA query pair for every catalog site — the workload
+    that exposes authoritative-walk and cache-accounting regressions.
     """
     obs.reset()
     obs.enable()
     config = small_config(seed=seed, scale=scale)
     world = build_world(config)
     final_round = config.campaign.n_rounds - 1
-    env = world.environment_for(world.vantages[0])
     t0 = time.perf_counter()
-    world.advance_to_round(final_round)
+    env = world.environment_for(
+        world.vantages[0], zones=world.dns_cursor(final_round)
+    )
     now = world.clock.time_of_round(final_round)
     n_queries = 0
     for site in world.catalog.sites:

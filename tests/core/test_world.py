@@ -67,11 +67,11 @@ class TestZoneLifecycle:
             if s.adoption_round is not None and s.adoption_round >= 2
             and s.w6d_event_round is None
         )
-        world.advance_to_round(site.adoption_round - 1)
-        env = world.environment_for(world.vantages[0])
+        cursor = world.dns_cursor(site.adoption_round - 1)
+        env = world.environment_for(world.vantages[0], zones=cursor)
         with pytest.raises(NoRecord):
             env.resolver.resolve(site.name, V6)
-        world.advance_to_round(site.adoption_round)
+        cursor.advance_to(site.adoption_round)
         env.resolver.flush()
         assert env.resolver.resolve(site.name, V6)
 
@@ -85,19 +85,40 @@ class TestZoneLifecycle:
             pytest.skip("no event-only participants in this draw")
         site = candidates[0]
         event = site.w6d_event_round
-        world.advance_to_round(event)
-        zone = world.zones.zone_for("example.")
-        assert zone.lookup(site.name, RecordType.AAAA)
-        world.advance_to_round(event + 1)
-        assert not zone.lookup(site.name, RecordType.AAAA)
+        cursor = world.dns_cursor(event)
+        changed = cursor.watch()
+        assert cursor.view().entry(site.name).rrset(RecordType.AAAA)
+        cursor.advance_to(event + 1)
+        assert site.name in changed
+        entry = cursor.view().entry(site.name)
+        assert entry.rrset(RecordType.AAAA) is None
+        assert entry.rrset(RecordType.A)
 
-    def test_zone_snapshot_reflects_past_round(self, small_cfg, small_campaign):
-        world = small_campaign.world  # already advanced to the end
+    def test_cursor_pinned_at_past_round(self, small_cfg, small_campaign):
+        world = small_campaign.world  # the campaign read to the end
         w6d_round = small_cfg.adoption.world_ipv6_day_round
-        snapshot = world.zone_snapshot(w6d_round)
-        zone = snapshot.zone_for("example.")
+        view = world.dns_cursor(w6d_round).view()
         for site in world.catalog.w6d_participants()[:10]:
-            assert zone.lookup(site.name, RecordType.AAAA), site.name
+            assert view.entry(site.name).rrset(RecordType.AAAA), site.name
+
+    def test_timeline_matches_site_accessibility(self, small_cfg):
+        world = build_world(small_cfg)
+        cursor = world.dns_cursor()
+        for round_idx in range(small_cfg.campaign.n_rounds):
+            cursor.advance_to(round_idx)
+            for site in world.catalog.sites:
+                entry = cursor.entry(site.name)
+                assert entry.rrset(RecordType.A)
+                has_aaaa = entry.rrset(RecordType.AAAA) is not None
+                assert has_aaaa == site.v6_accessible_at(round_idx)
+
+    def test_cursors_share_entries(self, small_cfg):
+        world = build_world(small_cfg)
+        site = world.catalog.sites[0]
+        a, b = world.dns_cursor(), world.dns_cursor()
+        assert a is not b
+        assert a.entry(site.name) is b.entry(site.name)
+        assert world.dns_timeline() is world.dns_timeline()
 
 
 class TestForwardingPaths:

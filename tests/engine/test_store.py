@@ -317,6 +317,23 @@ class TestColumnarArtifact:
         assert store.load_columnar_entry(config_digest(cfg)) is None
 
 
+class TestColumnarMemo:
+    def test_analysis_after_save_reuses_the_saved_transposes(self, tmp_path):
+        from repro.core.campaign import run_campaign
+        from repro.core.world import build_world
+        from repro.experiments.scenario import build_contexts
+        from repro.obs import metrics
+
+        cfg = small_config(seed=11, scale=0.3)
+        campaign = run_campaign(build_world(cfg))
+        encodes = metrics.counter("data.columnar.encodes")
+        before = encodes.value
+        CampaignStore(tmp_path).save(cfg, campaign.repository, campaign.reports)
+        build_contexts(cfg, campaign)
+        # One transpose per database: the save's, reused by the analysis.
+        assert encodes.value - before == len(campaign.repository.vantage_names)
+
+
 class TestObserverReports:
     def test_round_trip(self, tmp_path):
         from repro.observers import ObserverReport

@@ -8,13 +8,22 @@ config; these tests pin it with
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.config import ExecutionConfig, small_config
-from repro.core.campaign import run_campaign, run_world_ipv6_day
+from repro.core.campaign import (
+    build_campaign_shards,
+    merge_shard_results,
+    run_campaign,
+    run_world_ipv6_day,
+)
 from repro.core.world import build_world
+from repro.engine.executor import SerialExecutor
 from repro.engine.store import config_digest
 from repro.experiments import scenario
+from repro.monitor.database import MeasurementDatabase
 from repro.obs import metrics
 
 #: tiny but non-degenerate scenario for cross-backend runs.
@@ -126,3 +135,53 @@ class TestScenarioDiskCache:
                 scenario.configure_cache(saved_store.root)
             else:
                 scenario.configure_cache(None)
+
+
+class TestInMemoryHandOver:
+    def test_serial_merge_adopts_shard_databases(self):
+        world = build_world(TINY)
+        shards = build_campaign_shards(world, n_rounds=2, max_sites_per_round=0)
+        results = SerialExecutor().run(shards, world=world)
+        merged = merge_shard_results(world, results)
+        for result in results:
+            assert isinstance(result.database, MeasurementDatabase)
+            assert merged.repository.database(result.vantage_name) is (
+                result.database
+            )
+
+
+class TestWorldPickle:
+    """``world.pkl`` holds the world, not the memo caches a campaign grew."""
+
+    def test_pickle_leaves_memo_caches_out(self, tiny_serial):
+        world = tiny_serial[0].world
+        world.dns_cursor()  # the campaigns released theirs
+        try:
+            assert world._endpoint_cache and world._dns_timeline is not None
+            loaded = pickle.loads(pickle.dumps(world, pickle.HIGHEST_PROTOCOL))
+            assert loaded._dns_timeline is None
+            assert not loaded._endpoint_cache and not loaded._path_cache
+            assert not loaded._addresses and not loaded._owner_cache
+            assert not loaded.model._round_factors
+            # The live world keeps its caches.
+            assert world._endpoint_cache and world._dns_timeline is not None
+        finally:
+            world.release_dns_timeline()
+
+    def test_campaign_releases_the_dns_timeline(self, tiny_serial):
+        weekly, w6d = tiny_serial
+        assert weekly.world._dns_timeline is None
+        assert w6d.world._dns_timeline is None
+
+    def test_loaded_world_reproduces_the_campaign(self, tiny_serial):
+        weekly, _ = tiny_serial
+        blob = pickle.dumps(weekly.world, pickle.HIGHEST_PROTOCOL)
+        rerun = run_campaign(
+            pickle.loads(blob),
+            n_rounds=TINY_ROUNDS,
+            execution=ExecutionConfig(backend="serial"),
+        )
+        assert (
+            rerun.repository.content_digest()
+            == weekly.repository.content_digest()
+        )

@@ -186,6 +186,27 @@ class TestSerialization:
         with pytest.raises(MonitorError):
             rebuilt.add_download(download(1, 1, V4, 50.0))
 
+    def test_pickle_round_trip_is_the_wire_form(self):
+        import pickle
+
+        from repro.monitor.aggregate import CentralRepository
+        from repro.monitor.vantage import VantageKind, VantagePoint
+
+        db = self.full_db()
+        rebuilt = pickle.loads(pickle.dumps(db, pickle.HIGHEST_PROTOCOL))
+        assert rebuilt.to_dict() == db.to_dict()
+        vantage = VantagePoint(
+            name="T", location="X", asn=10, start_round=0,
+            as_path_available=True, white_listed=False,
+            kind=VantageKind.ACADEMIC,
+        )
+        digests = []
+        for database in (db, rebuilt):
+            repository = CentralRepository()
+            repository.add(vantage, database)
+            digests.append(repository.content_digest())
+        assert digests[0] == digests[1]
+
     def test_dns_counts_survive_verbatim(self):
         db = self.full_db()
         rebuilt = MeasurementDatabase.from_dict(db.to_dict())
