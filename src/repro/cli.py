@@ -545,7 +545,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                             "seed": e.seed,
                             "repository_digest": e.repository_digest,
                             "size_bytes": e.size_bytes,
-                            "artifacts": e.artifact_sizes(),
+                            "bin_bytes": e.bin_bytes,
                         }
                         for e in entries
                     ],
@@ -558,27 +558,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             return 0
         print(
             f"{'DIGEST':16s}  {'KIND':8s}  {'SEED':>10s}  {'SIZE':>10s}  "
-            f"{'BIN':>10s}  {'JSON':>10s}  FORMATS"
+            f"{'BIN':>10s}"
         )
         for entry in entries:
             seed = "-" if entry.seed is None else str(entry.seed)
-            artifacts = entry.artifact_sizes()
-            binary_size = artifacts.get("columnar.bin")
-            json_size = artifacts.get("columnar.json")
-            formats = ",".join(
-                label
-                for label, present in (
-                    ("bin", binary_size is not None),
-                    ("json", json_size is not None),
-                )
-                if present
-            ) or "-"
+            binary_size = entry.bin_bytes
             print(
                 f"{entry.digest[:16]:16s}  {entry.kind:8s}  {seed:>10s}  "
                 f"{entry.size_bytes:>10d}  "
-                f"{'-' if binary_size is None else binary_size:>10}  "
-                f"{'-' if json_size is None else json_size:>10}  "
-                f"{formats}"
+                f"{'-' if binary_size is None else binary_size:>10}"
             )
         return 0
     # prune

@@ -6,7 +6,7 @@ Three layers:
 
 * :mod:`repro.data.columnar` — struct-of-arrays encodings of every
   measurement table with dictionary-encoded AS paths and sorted indices;
-  the ``columnar.json`` campaign-store artifact (bit-identical round
+  the ``columnar.bin`` campaign-store artifact (bit-identical round
   trips with the row-object database).
 * :mod:`repro.data.query` — filter / project / group-aggregate
   primitives with predicate pushdown; the analysis layer's row queries

@@ -1,8 +1,8 @@
 """Struct-of-arrays encodings of the measurement tables.
 
 The paper promised public access to its measurement data (§5.5); the
-CampaignStore already persists campaigns as row-oriented JSON.  This
-module adds the columnar layer on top: every table of a
+CampaignStore persists each campaign as one binary columnar artifact.
+This module defines it: every table of a
 :class:`~repro.monitor.database.MeasurementDatabase` — DNS observations,
 page checks, downloads, AS paths, faults, plus the per-round DNS
 counters — as typed columns, with dictionary encoding for the low-
@@ -21,24 +21,18 @@ the database through :meth:`MeasurementDatabase.from_dict`, so a
 round trip (rows → columns → rows) reproduces the original database —
 and therefore :meth:`CentralRepository.content_digest` — bit for bit.
 
-Two artifact forms exist side by side:
+``columnar.bin`` is the store's form: a struct-packed header
+(``magic, version, meta length, sha256``), a canonical-JSON metadata
+blob naming every column's byte range (dictionaries inline), then
+8-byte-aligned little-endian raw column buffers.  The sha256 covers
+metadata plus body, is computed incrementally at write time, and is
+verified on every load.  Decoding is lazy at table granularity:
+:class:`LazyColumnarDatabase` materialises a table only when it is
+first touched.
 
-``columnar.json``
-    The canonical interchange form (one :class:`ColumnarRepository`
-    payload), loadable without unpickling the world or importing the
-    monitor.  :func:`write_columnar_json` streams it column-at-a-time
-    so encode never duplicates the whole campaign in memory.
-
-``columnar.bin``
-    The fast-load binary form: a struct-packed header
-    (``magic, version, meta length, sha256``), a canonical-JSON
-    metadata blob naming every column's byte range (dictionaries
-    inline), then 8-byte-aligned little-endian raw column buffers.
-    The sha256 covers metadata plus body and is computed incrementally
-    at write time — the content digest never needs the full JSON
-    materialised — and verified on every load.  Decoding is lazy at
-    table granularity: :class:`LazyColumnarDatabase` materialises a
-    table only when it is first touched.
+:func:`iter_columnar_json` streams the same repository as canonical
+JSON, one column at a time: the interchange encoding, and the oracle
+the binary codec's round trips are checked against.
 """
 
 from __future__ import annotations
@@ -262,20 +256,6 @@ class DictColumn:
         }
 
 
-def _column_from_payload(name: str, payload: dict) -> "Column | DictColumn":
-    try:
-        dtype = payload["dtype"]
-        if dtype == "dict":
-            return DictColumn(
-                name=name,
-                codes=payload["codes"],
-                dictionary=payload["dictionary"],
-            )
-        return Column(name=name, dtype=dtype, values=payload["values"])
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed column payload for {name!r}: {exc}") from exc
-
-
 class SortedIndex:
     """Row ids sorted by a key-column tuple, with equal-range lookup.
 
@@ -408,38 +388,6 @@ class ColumnarTable:
         }
 
     @classmethod
-    def from_payload(cls, name: str, payload: dict) -> "ColumnarTable":
-        if name not in TABLE_SCHEMAS:
-            raise DataError(f"unknown columnar table {name!r}")
-        try:
-            columns_payload = payload["columns"]
-            declared = payload["n_rows"]
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"malformed table payload for {name!r}") from exc
-        columns: dict[str, Column | DictColumn] = {}
-        for column_name, dtype in TABLE_SCHEMAS[name]:
-            if column_name not in columns_payload:
-                raise DataError(f"table {name!r} misses column {column_name!r}")
-            column = _column_from_payload(
-                column_name, columns_payload[column_name]
-            )
-            expected = "dict" if dtype == "dict" else dtype
-            actual = "dict" if isinstance(column, DictColumn) else column.dtype
-            if actual != expected:
-                raise DataError(
-                    f"table {name!r} column {column_name!r}: dtype "
-                    f"{actual!r}, schema requires {expected!r}"
-                )
-            columns[column_name] = column
-        table = cls(name, columns)
-        if table.n_rows != declared:
-            raise DataError(
-                f"table {name!r}: declared {declared} rows, "
-                f"columns hold {table.n_rows}"
-            )
-        return table
-
-    @classmethod
     def from_rows(cls, name: str, rows: list) -> "ColumnarTable":
         """Transpose wire rows into columns (dictionary-encoding as set
         by the schema; AS-path dictionaries are first-appearance order)."""
@@ -538,20 +486,6 @@ class ColumnarDatabase:
             },
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ColumnarDatabase":
-        try:
-            vantage_name = payload["vantage_name"]
-            tables_payload = payload["tables"]
-        except (KeyError, TypeError) as exc:
-            raise DataError("malformed columnar database payload") from exc
-        tables = {}
-        for name in TABLE_SCHEMAS:
-            if name not in tables_payload:
-                raise DataError(f"columnar payload misses table {name!r}")
-            tables[name] = ColumnarTable.from_payload(name, tables_payload[name])
-        return cls(vantage_name=vantage_name, tables=tables)
-
 
 class _LazyTables(Mapping):
     """A table map that materialises each table on first access."""
@@ -598,9 +532,9 @@ class LazyColumnarDatabase(ColumnarDatabase):
 class ColumnarRepository:
     """A whole campaign — vantage roster plus columnar databases.
 
-    This is the ``columnar.json`` payload the campaign store writes next
-    to ``repository.json``; :meth:`to_repository` materialises the
-    row-object :class:`CentralRepository` when an analysis needs it.
+    This is what the campaign store writes as ``columnar.bin``;
+    :meth:`to_repository` materialises the row-object
+    :class:`CentralRepository` when an analysis needs it.
     """
 
     vantages: dict[str, dict] = field(default_factory=dict)
@@ -630,12 +564,15 @@ class ColumnarRepository:
         return cls(vantages=vantages, databases=databases)
 
     def to_repository(self) -> CentralRepository:
+        """Rebuild the row objects; each rebuilt database memoises its
+        columnar source, so a later :func:`columnar_view` (the analysis
+        after a store hit) does not transpose again."""
         repository = CentralRepository()
         for name, vantage_data in self.vantages.items():
-            repository.add(
-                VantagePoint.from_dict(vantage_data),
-                self.databases[name].to_database(),
-            )
+            cdb = self.databases[name]
+            db = cdb.to_database()
+            db._columnar_cache = cdb
+            repository.add(VantagePoint.from_dict(vantage_data), db)
         return repository
 
     def to_payload(self) -> dict:
@@ -646,30 +583,6 @@ class ColumnarRepository:
                 name: cdb.to_payload() for name, cdb in self.databases.items()
             },
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ColumnarRepository":
-        fmt = payload.get("format") if isinstance(payload, dict) else None
-        if fmt != COLUMNAR_FORMAT:
-            raise DataError(
-                f"unsupported columnar format {fmt!r} "
-                f"(expected {COLUMNAR_FORMAT})"
-            )
-        try:
-            vantage_rows = payload["vantages"]
-            database_payloads = payload["databases"]
-        except KeyError as exc:
-            raise DataError("malformed columnar repository payload") from exc
-        vantages, databases = {}, {}
-        for vantage_data in vantage_rows:
-            name = vantage_data.get("name")
-            if name not in database_payloads:
-                raise DataError(f"columnar payload misses database {name!r}")
-            vantages[name] = vantage_data
-            databases[name] = ColumnarDatabase.from_payload(
-                database_payloads[name]
-            )
-        return cls(vantages=vantages, databases=databases)
 
 
 def columnar_view(db: MeasurementDatabase) -> ColumnarDatabase:
@@ -687,7 +600,7 @@ def columnar_view(db: MeasurementDatabase) -> ColumnarDatabase:
 
 
 # ---------------------------------------------------------------------------
-# streaming JSON encode (columnar.json without the full-payload copy)
+# streaming JSON encode (canonical interchange text, one column at a time)
 
 
 def _table_chunks(table: ColumnarTable):
@@ -708,7 +621,7 @@ def _database_chunks(cdb: ColumnarDatabase):
 
 
 def iter_columnar_json(repository: ColumnarRepository):
-    """Chunks of the canonical ``columnar.json`` text, streamed.
+    """Chunks of the canonical columnar JSON text, streamed.
 
     Byte-identical to ``json.dumps(repository.to_payload(),
     separators=(",", ":"))``: the framing plus one C-encoded
@@ -728,7 +641,7 @@ def iter_columnar_json(repository: ColumnarRepository):
 
 
 def write_columnar_json(path, repository: ColumnarRepository) -> None:
-    """Stream the canonical JSON artifact to ``path``."""
+    """Stream the canonical columnar JSON text to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.writelines(iter_columnar_json(repository))
 

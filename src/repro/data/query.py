@@ -18,16 +18,14 @@ order, and tie-breaks are unchanged by the migration.
 Execution is kernelized: predicates evaluate column-at-a-time over the
 raw typed storage (dictionary predicates evaluate once per distinct
 code, not once per row), and projection/grouping bulk-decode via
-:meth:`Column.take`.  Setting ``REPRO_QUERY_KERNELS=0`` switches to the
-row-at-a-time reference path; both paths produce identical result bytes,
-identical ``data.query.*`` counters, and identical structured errors —
-the parity suite byte-diffs them across every query shape.
+:meth:`Column.take`.  ``tests/fixtures/golden_query_shapes.json`` pins
+the result bytes, ``data.query.*`` counter deltas and structured errors
+of every query shape the serving layer can route.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass, field
 
 from ..errors import DataError
@@ -224,11 +222,6 @@ _OPERATORS = {
 }
 
 
-def kernels_enabled() -> bool:
-    """Whole-column kernels run unless ``REPRO_QUERY_KERNELS=0``."""
-    return os.environ.get("REPRO_QUERY_KERNELS", "1") != "0"
-
-
 def _filter_rows_kernel(
     column: "Column | DictColumn", predicate: Filter, rows: list[int]
 ) -> list[int]:
@@ -237,8 +230,8 @@ def _filter_rows_kernel(
     Dictionary columns evaluate the predicate once per *distinct code*
     touched (memoised truth table); plain columns compare the backing
     array values directly.  On an incomparable value the structured
-    :class:`DataError` of the reference path is reproduced exactly —
-    same offending row, same message.
+    :class:`DataError` of :meth:`Filter.matches` is raised — first
+    offending row, its decoded value in the message.
     """
     out: list[int] = []
     append = out.append
@@ -269,8 +262,8 @@ def _filter_rows_kernel(
                 if compare(values[row], target):
                     append(row)
     except TypeError:
-        # Re-walk through the reference predicate so the structured
-        # error carries the first offending row's decoded value.
+        # Re-walk through Filter.matches so the structured error
+        # carries the first offending row's decoded value.
         for row in rows:
             predicate.matches(column.get(row))
         raise  # pragma: no cover - matches() always raises first
@@ -318,13 +311,6 @@ def scan(table: ColumnarTable, filters: tuple[Filter, ...] = ()) -> list[int]:
     _ROWS_SCANNED.inc(len(candidates))
     if not remaining:
         return list(candidates)
-    if not kernels_enabled():
-        columns = [(table.column(p.column), p) for p in remaining]
-        return [
-            row
-            for row in candidates
-            if all(p.matches(column.get(row)) for column, p in columns)
-        ]
     rows = candidates if isinstance(candidates, list) else list(candidates)
     for predicate in remaining:
         rows = _filter_rows_kernel(table.column(predicate.column), predicate, rows)
@@ -335,10 +321,7 @@ def scan(table: ColumnarTable, filters: tuple[Filter, ...] = ()) -> list[int]:
 
 def gather(table: ColumnarTable, column: str, rows: list[int]) -> list:
     """Decoded values of one column for the given rows, in row order."""
-    col = table.column(column)
-    if kernels_enabled():
-        return col.take(rows)
-    return [col.get(row) for row in rows]
+    return table.column(column).take(rows)
 
 
 # -- declarative execution ---------------------------------------------------
@@ -373,14 +356,9 @@ def _group_aggregate(
         if aggregate.column is not None:
             table.column(aggregate.column)
     groups: dict[tuple, list[int]] = {}
-    if kernels_enabled():
-        decoded = [column.take(rows) for column in key_columns]
-        for row, key in zip(rows, zip(*decoded)):
-            groups.setdefault(key, []).append(row)
-    else:
-        for row in rows:
-            key = tuple(column.get(row) for column in key_columns)
-            groups.setdefault(key, []).append(row)
+    decoded = [column.take(rows) for column in key_columns]
+    for row, key in zip(rows, zip(*decoded)):
+        groups.setdefault(key, []).append(row)
     _GROUPS_EMITTED.inc(len(groups))
 
     limit = min(query.limit or MAX_QUERY_ROWS, MAX_QUERY_ROWS)

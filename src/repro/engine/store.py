@@ -11,34 +11,36 @@ Layout (one directory per campaign)::
 
     <root>/campaigns/<digest>/
         meta.json          store format, digest, kind, config snapshot
-        repository.json    CentralRepository.to_dict() (every table)
-        columnar.json      ColumnarRepository payload (repro.data)
-        columnar.bin       binary columnar artifact (fast cold loads)
+        columnar.bin       every table, binary columnar (repro.data)
         reports.json       per-vantage RoundReport dicts
         world.pkl          pickled World (best effort; absent ok)
         observers/<name>.json   canonical ObserverReport artifacts
+    <root>/staging/        saves in progress (never listed as entries)
 
-``repository.json`` and ``reports.json`` are the same compact dict forms
-shard results use to cross process boundaries, so a store entry is
-readable without this package's monitor.  The world pickle is an
-optimisation only: when it is missing or unreadable the world is rebuilt
-from the config and the stored measurement data is still used.
+``columnar.bin`` is the only copy of the measurement data: every load
+decodes it (sha256-verified, lazily per table) and rebuilds row objects
+through :meth:`ColumnarRepository.to_repository` when a caller needs
+them.  A missing, truncated or corrupt binary makes the entry a warned
+miss; the recomputed campaign's save replaces it.  The world pickle is
+an optimisation only: when it is missing or unreadable the world is
+rebuilt from the config and the stored measurement data is still used.
 
-``columnar.bin`` is the load-time fast path: the serving layer decodes
-it lazily (table granularity, zero-copy buffers) with its sha256
-verified on every load.  A corrupt or truncated binary is a *warned
-fallback*, not a miss — ``columnar.json`` remains the canonical
-interchange form and is transposed from ``repository.json`` when even
-that is absent.
+Saves are atomic: an entry is written to a fresh directory under
+``staging/``, fsynced, and published with one ``os.replace``, so a
+reader sees a complete entry or a miss, never half an entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import pathlib
 import pickle
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 from ..config import ScenarioConfig
@@ -57,17 +59,15 @@ STORE_FORMAT = 1
 #: default cache root, overridable via the ``REPRO_CACHE_DIR`` env var.
 DEFAULT_CACHE_ROOT = ".repro-cache"
 
+#: where saves build an entry before publishing it (outside ``campaigns/``).
+STAGING_DIR = "staging"
+
 #: disk-tier effectiveness counters (module-cached; obs resets in place).
 _STORE_HITS = metrics.counter("engine.store.hits")
 _STORE_MISSES = metrics.counter("engine.store.misses")
 _STORE_WRITES = metrics.counter("engine.store.writes")
-#: binary-artifact counters: loads served from columnar.bin, and warned
-#: fallbacks to JSON after a corrupt/unreadable binary (gated to zero).
+#: loads served from columnar.bin (every hit decodes it).
 _BIN_LOADS = metrics.counter("engine.store.bin_loads")
-_BIN_FALLBACKS = metrics.counter("engine.store.bin_fallbacks")
-
-#: the columnar artifact files a store entry may carry, preferred first.
-COLUMNAR_ARTIFACTS = ("columnar.bin", "columnar.json")
 
 
 def config_digest(config: ScenarioConfig, kind: str = "weekly") -> str:
@@ -126,15 +126,13 @@ class StoreEntry:
             pass
         return total
 
-    def artifact_sizes(self) -> dict[str, int]:
-        """Bytes per columnar artifact present (``repro cache ls``)."""
-        sizes: dict[str, int] = {}
-        for name in COLUMNAR_ARTIFACTS:
-            try:
-                sizes[name] = (self.path / name).stat().st_size
-            except OSError:
-                continue
-        return sizes
+    @property
+    def bin_bytes(self) -> int | None:
+        """Bytes of ``columnar.bin``, or None when it is missing."""
+        try:
+            return (self.path / "columnar.bin").stat().st_size
+        except OSError:
+            return None
 
 
 class CampaignStore:
@@ -182,8 +180,6 @@ class CampaignStore:
     def prune(self, keep_latest: int) -> list[StoreEntry]:
         """Delete all but the newest ``keep_latest`` entries; returns the
         removed entries (``repro cache prune``)."""
-        import shutil
-
         if keep_latest < 0:
             raise ValueError(f"keep_latest must be >= 0, got {keep_latest}")
         doomed = self.entries()[keep_latest:]
@@ -197,47 +193,71 @@ class CampaignStore:
 
     # -- load --------------------------------------------------------------
 
-    def load(
-        self, config: ScenarioConfig, kind: str = "weekly"
-    ) -> StoredCampaign | None:
-        """Load the stored campaign for ``config``, or None on a miss."""
-        digest = config_digest(config, kind)
+    def _read(self, digest: str, span_name: str, read, **attrs):
+        """``(meta, read(entry))`` for one valid entry, or None on a miss.
+
+        A missing ``meta.json``, another store format, or an entry that
+        ``read`` cannot decode (a truncated, byte-flipped or absent
+        ``columnar.bin``, a malformed ``reports.json``) is a counted miss,
+        warned about when the entry exists; the caller recomputes and
+        its save replaces the entry.
+        """
         entry = self.entry_dir(digest)
         meta_path = entry / "meta.json"
         if not meta_path.exists():
             _STORE_MISSES.inc()
             return None
-        with span("engine.store.load", digest=digest[:12], kind=kind):
+        with span(span_name, digest=digest[:12], **attrs):
             try:
                 meta = json.loads(meta_path.read_text(encoding="utf-8"))
                 if meta.get("store_format") != STORE_FORMAT:
                     _STORE_MISSES.inc()
                     return None
-                repository = CentralRepository.from_dict(
-                    json.loads(
-                        (entry / "repository.json").read_text(encoding="utf-8")
-                    )
-                )
-                reports_data = json.loads(
-                    (entry / "reports.json").read_text(encoding="utf-8")
-                )
-                reports = {
-                    name: [RoundReport.from_dict(r) for r in rows]
-                    for name, rows in reports_data["reports"].items()
-                }
+                result = read(entry)
             except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
-                # Truncated JSON raises ValueError, missing keys KeyError,
-                # malformed rows TypeError, and a format/monotonicity
-                # violation in the payload a MonitorError (ReproError) —
-                # all of them mean "this entry is unusable, recompute".
+                # DataError (a ReproError) covers every columnar.bin
+                # failure; a MonitorError a rebuilt table that breaks the
+                # database invariants; the rest a malformed reports.json.
                 _LOG.warning(
                     "unreadable store entry; treating as miss",
                     extra={"digest": digest[:12], "error": str(exc)},
                 )
                 _STORE_MISSES.inc()
                 return None
-            world = self._load_world(entry / "world.pkl", digest)
         _STORE_HITS.inc()
+        return meta, result
+
+    @staticmethod
+    def _read_columnar(entry: pathlib.Path):
+        """The entry's ``columnar.bin``, sha256-verified and lazily decoded."""
+        from ..data.columnar import load_columnar_binary
+
+        columnar = load_columnar_binary(entry / "columnar.bin")
+        _BIN_LOADS.inc()
+        return columnar
+
+    def load(
+        self, config: ScenarioConfig, kind: str = "weekly"
+    ) -> StoredCampaign | None:
+        """Load the stored campaign for ``config``, or None on a miss."""
+        digest = config_digest(config, kind)
+
+        def read(entry: pathlib.Path):
+            repository = self._read_columnar(entry).to_repository()
+            reports_data = json.loads(
+                (entry / "reports.json").read_text(encoding="utf-8")
+            )
+            reports = {
+                name: [RoundReport.from_dict(r) for r in rows]
+                for name, rows in reports_data["reports"].items()
+            }
+            return repository, reports
+
+        loaded = self._read(digest, "engine.store.load", read, kind=kind)
+        if loaded is None:
+            return None
+        repository, reports = loaded[1]
+        world = self._load_world(self.entry_dir(digest) / "world.pkl", digest)
         _LOG.info(
             "campaign store hit",
             extra={
@@ -266,93 +286,20 @@ class CampaignStore:
 
     def load_repository_by_digest(self, digest: str) -> CentralRepository | None:
         """Like :meth:`load_repository` but addressed by store digest."""
-        entry = self.entry_dir(digest)
-        if not (entry / "meta.json").exists():
-            _STORE_MISSES.inc()
-            return None
-        with span("engine.store.load_repository", digest=digest[:12]):
-            try:
-                meta = json.loads(
-                    (entry / "meta.json").read_text(encoding="utf-8")
-                )
-                if meta.get("store_format") != STORE_FORMAT:
-                    _STORE_MISSES.inc()
-                    return None
-                repository = CentralRepository.from_dict(
-                    json.loads(
-                        (entry / "repository.json").read_text(encoding="utf-8")
-                    )
-                )
-            except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
-                _LOG.warning(
-                    "unreadable store entry; treating as miss",
-                    extra={"digest": digest[:12], "error": str(exc)},
-                )
-                _STORE_MISSES.inc()
-                return None
-        _STORE_HITS.inc()
-        return repository
+        loaded = self._read(
+            digest,
+            "engine.store.load_repository",
+            lambda entry: self._read_columnar(entry).to_repository(),
+        )
+        return None if loaded is None else loaded[1]
 
-    def load_columnar_entry(self, digest: str, prefer_binary: bool = True):
+    def load_columnar_entry(self, digest: str):
         """One entry's ``(meta, ColumnarRepository)`` — the serving path.
 
-        Prefers the binary ``columnar.bin`` (sha256-verified, lazily
-        decoded per table); a corrupt or truncated binary is a warned
-        fallback to ``columnar.json``, and entries written before the
-        columnar layer existed are transposed from ``repository.json``
-        on the fly.  Returns None on a miss or an unreadable entry.
-        ``prefer_binary=False`` forces the JSON path (the perf harness
-        uses this to time both decoders over the same entry).
+        Decodes ``columnar.bin`` (sha256-verified, lazily decoded per
+        table).  Returns None on a miss or an unreadable entry.
         """
-        from ..data.columnar import ColumnarRepository, load_columnar_binary
-        from ..errors import DataError
-
-        entry = self.entry_dir(digest)
-        meta_path = entry / "meta.json"
-        if not meta_path.exists():
-            _STORE_MISSES.inc()
-            return None
-        with span("engine.store.load_columnar", digest=digest[:12]):
-            try:
-                meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                if meta.get("store_format") != STORE_FORMAT:
-                    _STORE_MISSES.inc()
-                    return None
-                columnar = None
-                binary_path = entry / "columnar.bin"
-                if prefer_binary and binary_path.exists():
-                    try:
-                        columnar = load_columnar_binary(binary_path)
-                        _BIN_LOADS.inc()
-                    except DataError as exc:
-                        _BIN_FALLBACKS.inc()
-                        _LOG.warning(
-                            "corrupt columnar binary; falling back to JSON",
-                            extra={"digest": digest[:12], "error": str(exc)},
-                        )
-                columnar_path = entry / "columnar.json"
-                if columnar is None and columnar_path.exists():
-                    columnar = ColumnarRepository.from_payload(
-                        json.loads(columnar_path.read_text(encoding="utf-8"))
-                    )
-                if columnar is None:
-                    repository = CentralRepository.from_dict(
-                        json.loads(
-                            (entry / "repository.json").read_text(
-                                encoding="utf-8"
-                            )
-                        )
-                    )
-                    columnar = ColumnarRepository.from_repository(repository)
-            except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
-                _LOG.warning(
-                    "unreadable store entry; treating as miss",
-                    extra={"digest": digest[:12], "error": str(exc)},
-                )
-                _STORE_MISSES.inc()
-                return None
-        _STORE_HITS.inc()
-        return meta, columnar
+        return self._read(digest, "engine.store.load_columnar", self._read_columnar)
 
     # -- observer reports ----------------------------------------------------
 
@@ -360,21 +307,28 @@ class CampaignStore:
         return self.entry_dir(digest) / "observers"
 
     def save_observer_reports(self, digest: str, reports: dict) -> pathlib.Path:
-        """Persist observer reports next to ``columnar.json``.
+        """Persist observer reports next to ``columnar.bin``.
 
         ``reports`` maps observer name to
         :class:`~repro.observers.reports.ObserverReport`; each artifact is
         the report's canonical bytes, so the serving layer can return the
         file contents verbatim and still match a fresh recomputation
-        byte-for-byte.
+        byte-for-byte.  Each file is written under a temporary name and
+        moved into place with ``os.replace``, so a reader sees the old
+        report or the new one, never a partial file.
         """
         directory = self.observers_dir(digest)
         with span("engine.store.save_observers", digest=digest[:12]):
             directory.mkdir(parents=True, exist_ok=True)
             for name in sorted(reports):
-                (directory / f"{name}.json").write_bytes(
-                    reports[name].canonical_bytes()
-                )
+                fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=directory)
+                try:
+                    with os.fdopen(fd, "wb") as handle:
+                        handle.write(reports[name].canonical_bytes())
+                    os.replace(tmp, directory / f"{name}.json")
+                except BaseException:
+                    pathlib.Path(tmp).unlink(missing_ok=True)
+                    raise
         _LOG.info(
             "observer reports stored",
             extra={"digest": digest[:12], "n_reports": len(reports)},
@@ -420,41 +374,57 @@ class CampaignStore:
         kind: str = "weekly",
         world: object | None = None,
     ) -> pathlib.Path:
-        """Persist one campaign; returns its entry directory."""
+        """Persist one campaign; returns its entry directory.
+
+        The entry is written into a fresh directory under ``staging/``,
+        fsynced, and published with one ``os.replace``; a save that fails
+        part-way leaves the previous entry (or a miss) and removes its
+        staging directory.
+        """
         digest = config_digest(config, kind)
         entry = self.entry_dir(digest)
         with span("engine.store.save", digest=digest[:12], kind=kind):
-            entry.mkdir(parents=True, exist_ok=True)
-            repository_digest = self._save_tables(entry, repository, digest)
-            (entry / "reports.json").write_text(
-                json.dumps(
-                    {
-                        "reports": {
-                            name: [r.to_dict() for r in rows]
-                            for name, rows in reports.items()
-                        }
-                    },
-                    separators=(",", ":"),
-                ),
-                encoding="utf-8",
+            staging_root = self.root / STAGING_DIR
+            staging_root.mkdir(parents=True, exist_ok=True)
+            staging = pathlib.Path(
+                tempfile.mkdtemp(prefix=f"{digest[:16]}.", dir=staging_root)
             )
-            if world is not None:
-                self._save_world(entry / "world.pkl", world, digest)
-            # meta.json written last: its presence marks the entry valid.
-            (entry / "meta.json").write_text(
-                json.dumps(
-                    {
-                        "store_format": STORE_FORMAT,
-                        "database_format": SERIAL_FORMAT,
-                        "digest": digest,
-                        "kind": kind,
-                        "seed": config.seed,
-                        "repository_digest": repository_digest,
-                    },
-                    indent=2,
-                ),
-                encoding="utf-8",
-            )
+            try:
+                repository_digest = self._save_tables(staging, repository, digest)
+                (staging / "reports.json").write_text(
+                    json.dumps(
+                        {
+                            "reports": {
+                                name: [r.to_dict() for r in rows]
+                                for name, rows in reports.items()
+                            }
+                        },
+                        separators=(",", ":"),
+                    ),
+                    encoding="utf-8",
+                )
+                if world is not None:
+                    self._save_world(staging / "world.pkl", world, digest)
+                (staging / "meta.json").write_text(
+                    json.dumps(
+                        {
+                            "store_format": STORE_FORMAT,
+                            "database_format": SERIAL_FORMAT,
+                            "digest": digest,
+                            "kind": kind,
+                            "seed": config.seed,
+                            "repository_digest": repository_digest,
+                        },
+                        indent=2,
+                    ),
+                    encoding="utf-8",
+                )
+                for path in staging.iterdir():
+                    _fsync(path)
+                _fsync(staging)
+                self._publish(staging, entry)
+            finally:
+                shutil.rmtree(staging, ignore_errors=True)
         _STORE_WRITES.inc()
         _LOG.info(
             "campaign stored",
@@ -463,30 +433,51 @@ class CampaignStore:
         return entry
 
     @staticmethod
+    def _publish(staging: pathlib.Path, entry: pathlib.Path) -> None:
+        """Move a complete staged entry to ``entry`` with ``os.replace``.
+
+        Saves run after a miss, so an entry already in place is stale or
+        corrupt: it is renamed aside into the staging area, then removed.
+        If a concurrent save of the same config publishes between the two
+        renames, its complete entry is kept and this one dropped.
+        """
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        retired = staging.with_name(staging.name + ".retired")
+        try:
+            os.replace(entry, retired)
+        except FileNotFoundError:
+            pass
+        try:
+            os.replace(staging, entry)
+        except OSError as exc:
+            if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                raise
+            _LOG.debug(
+                "entry published by a concurrent save; keeping it",
+                extra={"dir": str(entry)},
+            )
+        finally:
+            shutil.rmtree(retired, ignore_errors=True)
+        _fsync(entry.parent)
+
+    @staticmethod
     def _save_tables(
         entry: pathlib.Path, repository: CentralRepository, digest: str
     ) -> str:
-        """Write ``repository.json`` and both columnar artifacts from one
-        wire conversion per database; returns the repository's content
-        digest.  (Lazy import: ``repro.data`` itself imports the monitor
-        this module already depends on.)
+        """Write ``columnar.bin`` from one wire conversion per database;
+        returns the repository's content digest, hashed from the same
+        wire rows.  (Lazy import: ``repro.data`` itself imports the
+        monitor this module already depends on.)
         """
-        from ..data.columnar import (
-            ColumnarRepository,
-            write_columnar_binary,
-            write_columnar_json,
-        )
+        from ..data.columnar import ColumnarRepository, write_columnar_binary
 
         encoding = WireEncoding(repository)
         columnar = ColumnarRepository.from_repository(
             repository, on_rows=encoding.add
         )
-        with open(entry / "repository.json", "w", encoding="utf-8") as handle:
-            handle.writelines(encoding.iter_json())
-        write_columnar_json(entry / "columnar.json", columnar)
         bin_digest = write_columnar_binary(entry / "columnar.bin", columnar)
         _LOG.debug(
-            "columnar artifacts written",
+            "columnar artifact written",
             extra={"digest": digest[:12], "bin_digest": bin_digest[:12]},
         )
         return encoding.content_digest()
@@ -502,3 +493,12 @@ class CampaignStore:
                 extra={"digest": digest[:12], "error": str(exc)},
             )
             path.unlink(missing_ok=True)
+
+
+def _fsync(path: pathlib.Path) -> None:
+    """Flush one file's (or directory's) data and metadata to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -144,7 +144,7 @@ class WireEncoding:
     """A repository's :meth:`~CentralRepository.to_dict` form, JSON-encoded
     once per table.
 
-    ``repository.json`` and the sorted-key text behind
+    The compact :meth:`iter_json` text and the sorted-key text behind
     :meth:`content_digest` are both framed from the same encoded tables.
     Wire values are scalars or lists, which ``sort_keys`` leaves untouched.
     """

@@ -168,8 +168,9 @@ class MonitoringTool:
         if not self.vantage.active_at(round_idx):
             return RoundReport(round_idx, 0, 0, 0, 0, 0.0)
 
-        listed_now = set(self.env.site_list(round_idx))
-        n_new = self._ingest_lists(round_idx)
+        listed = self.env.site_list(round_idx)
+        listed_now = set(listed)
+        n_new = self._ingest_lists(round_idx, listed)
         order = list(self._monitored)
         self.rng.shuffle(order)
         if self.max_sites_per_round:
@@ -247,8 +248,8 @@ class MonitoringTool:
 
     # -- internals --------------------------------------------------------------
 
-    def _ingest_lists(self, round_idx: int) -> int:
-        names = self.env.site_list(round_idx)
+    def _ingest_lists(self, round_idx: int, names: list[str]) -> int:
+        """Append the round's unseen names (``names`` is its top list)."""
         if self.vantage.external_inputs:
             names = names + self.env.external_inputs(round_idx)
         n_new = 0

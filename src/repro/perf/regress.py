@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .workloads import STORE_IO_LOADS
+
 #: hard bounds for the structural gates.  Pre-optimization the round loop
 #: walked the zones ~2.89 times per monitored site and resolved the
 #: endpoint/path once per *sample* (~5+ per loop); the bounds assert the
@@ -241,19 +243,10 @@ def evaluate_gates(report: dict) -> list[GateResult]:
         results.append(
             GateResult(
                 workload="store_io",
-                gate="zero_bin_fallbacks",
-                passed=counters["engine.store.bin_fallbacks"] == 0,
-                observed=counters["engine.store.bin_fallbacks"],
-                bound="== 0 (no binary load fell back to JSON)",
-            )
-        )
-        results.append(
-            GateResult(
-                workload="store_io",
-                gate="bin_loads_nonzero",
-                passed=counters["engine.store.bin_loads"] > 0,
+                gate="every_load_from_bin",
+                passed=counters["engine.store.bin_loads"] == STORE_IO_LOADS,
                 observed=counters["engine.store.bin_loads"],
-                bound="> 0 (the preferred path serves from columnar.bin)",
+                bound=f"== {STORE_IO_LOADS} (every load served from columnar.bin)",
             )
         )
         decodes = counters["data.columnar.bin_decodes"]

@@ -57,7 +57,6 @@ WORK_COUNTERS = (
     "data.columnar.bin_digest_verified",
     "data.columnar.bin_table_decodes",
     "engine.store.bin_loads",
-    "engine.store.bin_fallbacks",
     "observers.runs",
     "observers.reports",
     "observers.errors",
@@ -449,21 +448,20 @@ def dns64(seed: int, scale: float) -> WorkloadResult:
     )
 
 
-#: timed loads per decoder in the ``store_io`` workload (fixed, so the
+#: timed cold loads in the ``store_io`` workload (fixed, so the
 #: store/columnar counters stay exact integers for a given campaign).
 STORE_IO_LOADS = 3
 
 
 def store_io(seed: int, scale: float) -> WorkloadResult:
-    """Columnar artifact encode/decode/first-query over a real store entry.
+    """Store save, cold ``columnar.bin`` loads and first query over a real
+    store entry.
 
-    Saves one campaign into a throwaway :class:`CampaignStore` (both
-    ``columnar.json`` and ``columnar.bin``), then times a fixed number of
-    cold loads through each decoder and the first query battery over the
-    binary-backed (lazily decoded) repository.  The structural gates are
-    counter-exact: every binary load must verify its content digest and
-    none may fall back to JSON; ``decode_speedup`` (JSON load wall over
-    binary load wall) is the informational headline.
+    Saves one campaign into a throwaway :class:`CampaignStore`, then
+    times a fixed number of cold loads and the first query battery over
+    the lazily decoded repository.  The structural gates are
+    counter-exact: every load is served from ``columnar.bin`` and
+    verifies its content digest.
     """
     import pathlib
     import tempfile
@@ -482,52 +480,36 @@ def store_io(seed: int, scale: float) -> WorkloadResult:
         store.save(config, result.repository, result.reports)
         save_seconds = time.perf_counter() - t0
         digest = config_digest(config)
-        entry = store.entry_dir(digest)
-        sizes = {
-            name: (entry / name).stat().st_size
-            for name in ("columnar.bin", "columnar.json")
-        }
+        bin_bytes = (store.entry_dir(digest) / "columnar.bin").stat().st_size
 
-        bin_times = []
+        load_times = []
         columnar = None
         for _ in range(STORE_IO_LOADS):
             t0 = time.perf_counter()
             loaded = store.load_columnar_entry(digest)
-            bin_times.append(time.perf_counter() - t0)
+            load_times.append(time.perf_counter() - t0)
             _, columnar = loaded
-        # first query battery over the last (still lazy) binary load
+        # first query battery over the last (still lazy) load
         t0 = time.perf_counter()
         n_sites = sum(
             len(dual_stack_sites(cdb)) for cdb in columnar.databases.values()
         )
         first_query_seconds = time.perf_counter() - t0
 
-        json_times = []
-        for _ in range(STORE_IO_LOADS):
-            t0 = time.perf_counter()
-            store.load_columnar_entry(digest, prefer_binary=False)
-            json_times.append(time.perf_counter() - t0)
-
-    wall = save_seconds + sum(bin_times) + sum(json_times) + first_query_seconds
-    counters = _snapshot_counters()
-    bin_load = min(bin_times)
-    json_load = min(json_times)
+    wall = save_seconds + sum(load_times) + first_query_seconds
     return WorkloadResult(
         name="store_io",
         wall_seconds=wall,
-        counters=counters,
+        counters=_snapshot_counters(),
         spans=_span_totals("engine.store.save", "engine.store.load_columnar"),
         derived={
             "save_seconds": save_seconds,
-            "bin_load_seconds": bin_load,
-            "json_load_seconds": json_load,
+            "bin_load_seconds": min(load_times),
             "first_query_seconds": first_query_seconds,
-            "decode_speedup": json_load / bin_load if bin_load > 0 else 0.0,
         },
         meta={
-            "n_loads_per_decoder": STORE_IO_LOADS,
-            "bin_bytes": sizes["columnar.bin"],
-            "json_bytes": sizes["columnar.json"],
+            "n_loads": STORE_IO_LOADS,
+            "bin_bytes": bin_bytes,
             "n_dual_stack_sites": n_sites,
         },
     )

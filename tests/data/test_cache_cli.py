@@ -74,11 +74,11 @@ def test_cache_ls_cli(seeded_store, capsys):
     rc = cli_main(["cache", "ls", "--cache-dir", str(seeded_store.root)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "DIGEST" in out
-    assert "FORMATS" in out
-    assert len(out.strip().splitlines()) == 3  # header + two entries
-    for line in out.strip().splitlines()[1:]:
-        assert "bin,json" in line
+    header, *rows = out.strip().splitlines()
+    assert header.split() == ["DIGEST", "KIND", "SEED", "SIZE", "BIN"]
+    assert len(rows) == 2
+    for entry, line in zip(seeded_store.entries(), rows):
+        assert line.split()[-1] == str(entry.bin_bytes)
 
 
 def test_cache_ls_json_cli(seeded_store, small_cfg, capsys):
@@ -89,9 +89,8 @@ def test_cache_ls_json_cli(seeded_store, small_cfg, capsys):
     assert listing[0]["digest"] == config_digest(small_cfg, W6D)
     assert listing[0]["size_bytes"] > 0
     for entry in listing:
-        artifacts = entry["artifacts"]
-        assert artifacts["columnar.bin"] > 0
-        assert artifacts["columnar.json"] > 0
+        assert "artifacts" not in entry
+        assert entry["bin_bytes"] > 0
 
 
 def test_cache_prune_cli(seeded_store, capsys):

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.data.columnar import (
+    _BINARY_HEADER,
+    BINARY_FORMAT,
+    BINARY_MAGIC,
     COLUMNAR_FORMAT,
+    TABLE_SCHEMAS,
     ColumnarDatabase,
     ColumnarRepository,
     ColumnarTable,
     DictColumn,
     columnar_view,
+    decode_columnar_binary,
+    encode_columnar_binary,
+    iter_columnar_json,
 )
 from repro.errors import DataError
 from repro.monitor.database import (
@@ -77,13 +85,51 @@ def test_database_round_trip_is_bit_identical():
     assert rebuilt.to_dict() == db.to_dict()
 
 
+def _one_database(db: MeasurementDatabase) -> ColumnarRepository:
+    return ColumnarRepository(
+        vantages={db.vantage_name: {"name": db.vantage_name}},
+        databases={db.vantage_name: ColumnarDatabase.from_database(db)},
+    )
+
+
+def _json_tables(db: MeasurementDatabase) -> dict:
+    """Wire rows per table, read back from the streamed JSON text."""
+    text = "".join(iter_columnar_json(_one_database(db)))
+    tables = json.loads(text)["databases"][db.vantage_name]["tables"]
+    rows = {}
+    for name, schema in TABLE_SCHEMAS.items():
+        columns = []
+        for column_name, _ in schema:
+            column = tables[name]["columns"][column_name]
+            if column["dtype"] == "dict":
+                dictionary = column["dictionary"]
+                columns.append([dictionary[code] for code in column["codes"]])
+            else:
+                columns.append(column["values"])
+        rows[name] = [list(row) for row in zip(*columns)]
+    return rows
+
+
+def _binary_with_meta(db: MeasurementDatabase, mutate) -> bytes:
+    """``columnar.bin`` bytes of ``db`` with its metadata edited by
+    ``mutate`` and the sha256 recomputed, so the structural checks (not
+    the digest) must reject the edit."""
+    head, segments, _ = encode_columnar_binary(_one_database(db))
+    meta = json.loads(head[_BINARY_HEADER.size :])
+    mutate(meta)
+    meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    body = b"".join(bytes(segment) for segment in segments)
+    digest = hashlib.sha256(meta_bytes + body).digest()
+    header = _BINARY_HEADER.pack(
+        BINARY_MAGIC, BINARY_FORMAT, len(meta_bytes), digest
+    )
+    return header + meta_bytes + body
+
+
 def test_payload_round_trip_through_json():
     db = populated_db()
-    payload = json.loads(
-        json.dumps(ColumnarDatabase.from_database(db).to_payload())
-    )
-    rebuilt = ColumnarDatabase.from_payload(payload).to_database()
-    assert rebuilt.to_dict() == db.to_dict()
+    wire = db.to_dict()
+    assert _json_tables(db) == {name: wire.get(name, []) for name in TABLE_SCHEMAS}
 
 
 def test_faults_table_round_trips():
@@ -145,12 +191,10 @@ def test_transitions_table_round_trips():
 
 def test_transitions_payload_round_trip_through_json():
     db = populated_db(with_transitions=True)
-    payload = json.loads(
-        json.dumps(ColumnarDatabase.from_database(db).to_payload())
-    )
-    rebuilt = ColumnarDatabase.from_payload(payload).to_database()
-    assert rebuilt.transitions == db.transitions
-    assert rebuilt.to_dict() == db.to_dict()
+    wire = db.to_dict()
+    tables = _json_tables(db)
+    assert tables["transitions"] == wire["transitions"]
+    assert tables == {name: wire.get(name, []) for name in TABLE_SCHEMAS}
 
 
 def test_transitions_export_csv_round_trip(tmp_path):
@@ -195,10 +239,11 @@ def test_faultless_database_keeps_wire_layout():
 
 def test_repository_digest_parity(small_campaign):
     repository = small_campaign.repository
-    payload = json.loads(
-        json.dumps(ColumnarRepository.from_repository(repository).to_payload())
+    head, segments, _ = encode_columnar_binary(
+        ColumnarRepository.from_repository(repository)
     )
-    rebuilt = ColumnarRepository.from_payload(payload).to_repository()
+    blob = head + b"".join(bytes(segment) for segment in segments)
+    rebuilt = decode_columnar_binary(blob).to_repository()
     assert rebuilt.content_digest() == repository.content_digest()
 
 
@@ -223,29 +268,42 @@ def test_sorted_index_equal_range_prefix():
 
 
 def test_unknown_format_rejected():
+    blob = _binary_with_meta(
+        populated_db(), lambda meta: meta.update(format=COLUMNAR_FORMAT + 1)
+    )
     with pytest.raises(DataError, match="unsupported columnar format"):
-        ColumnarRepository.from_payload({"format": COLUMNAR_FORMAT + 1})
+        decode_columnar_binary(blob)
+
+
+def _edit_table(name: str, edit):
+    def mutate(meta):
+        (database,) = meta["databases"]
+        edit(database, next(t for t in database["tables"] if t["name"] == name))
+
+    return mutate
 
 
 def test_malformed_payloads_rejected():
     db = populated_db()
-    payload = ColumnarDatabase.from_database(db).to_payload()
-    missing = {
-        "vantage_name": "T",
-        "tables": {k: v for k, v in payload["tables"].items() if k != "dns"},
-    }
+    missing = _binary_with_meta(
+        db,
+        _edit_table("dns", lambda database, table: database["tables"].remove(table)),
+    )
     with pytest.raises(DataError, match="misses table 'dns'"):
-        ColumnarDatabase.from_payload(missing)
+        decode_columnar_binary(missing)
 
-    wrong_count = json.loads(json.dumps(payload))
-    wrong_count["tables"]["downloads"]["n_rows"] += 1
-    with pytest.raises(DataError, match="declared"):
-        ColumnarDatabase.from_payload(wrong_count)
+    wrong_count = _binary_with_meta(
+        db, _edit_table("downloads", lambda _, table: table.update(n_rows=7))
+    )
+    with pytest.raises(DataError, match="rows"):
+        decode_columnar_binary(wrong_count).databases["T"].table("downloads")
 
-    wrong_dtype = json.loads(json.dumps(payload))
-    wrong_dtype["tables"]["downloads"]["columns"]["site_id"]["dtype"] = "f64"
+    def retype(_, table):
+        table["columns"][0]["dtype"] = "f64"
+
+    wrong_dtype = _binary_with_meta(db, _edit_table("downloads", retype))
     with pytest.raises(DataError, match="dtype"):
-        ColumnarDatabase.from_payload(wrong_dtype)
+        decode_columnar_binary(wrong_dtype).databases["T"].table("downloads")
 
 
 def test_dict_column_validates_codes():

@@ -3,7 +3,7 @@
 Hypothesis drives the round-trip property over randomly populated
 repositories — every dtype (i64/f64/bool/str/dict), unicode strings,
 empty tables, zero-vantage repositories.  The properties are exact:
-the canonical ``columnar.json`` text rebuilt from a decoded
+the canonical columnar JSON text rebuilt from a decoded
 ``columnar.bin`` must be byte-identical to the original's, re-encoding
 a decoded repository must reproduce the binary content digest, and any
 truncation or byte flip must raise a structured :class:`DataError`

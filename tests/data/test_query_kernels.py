@@ -1,17 +1,18 @@
-"""Kernelized query path vs the row-at-a-time reference.
+"""The typed-array query kernels against recorded reference output.
 
-The typed-array kernels behind ``scan``/``gather``/group-aggregate must
-be invisible: for every query shape the result payload is byte-diffed
-(canonical JSON) against the reference interpreter kept behind
-``REPRO_QUERY_KERNELS=0``, and the ``data.query.*`` work counters must
-move by exactly the same amounts.  Error behaviour is part of the
-contract too — an incomparable predicate raises the same structured
-:class:`DataError` from both paths.
+For every query shape the serve layer can route, the result payload
+(canonical JSON), the ``data.query.*`` work-counter deltas and the
+structured :class:`DataError` messages are pinned in
+``tests/fixtures/golden_query_shapes.json``.  The fixture was recorded
+from both the kernels and the row-at-a-time reference interpreter they
+replaced, which agreed on every shape, so it stands in for that
+reference.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -22,7 +23,6 @@ from repro.data.query import (
     Filter,
     Query,
     dual_stack_sites,
-    kernels_enabled,
     run_query,
 )
 from repro.errors import DataError
@@ -121,63 +121,56 @@ QUERIES = {
 }
 
 
-def _run_in_mode(mode: str, query: Query, monkeypatch) -> tuple[bytes, dict]:
-    monkeypatch.setenv("REPRO_QUERY_KERNELS", mode)
-    assert kernels_enabled() is (mode != "0")
+FIXTURE = json.loads(
+    (
+        pathlib.Path(__file__).parent.parent / "fixtures" / "golden_query_shapes.json"
+    ).read_text(encoding="utf-8")
+)
+
+
+def _run(query: Query) -> tuple[str, dict]:
     cdb = columnar_view(populated_db())
     before = _snapshot()
     payload = run_query(cdb, query).to_payload()
-    return (
-        json.dumps(payload, sort_keys=True).encode("utf-8"),
-        _delta(before, _snapshot()),
-    )
+    return json.dumps(payload, sort_keys=True), _delta(before, _snapshot())
+
+
+def _error_message(query: Query) -> str:
+    cdb = columnar_view(populated_db())
+    with pytest.raises(DataError) as err:
+        run_query(cdb, query)
+    return str(err.value)
+
+
+def test_fixture_covers_every_shape():
+    assert sorted(FIXTURE["queries"]) == sorted(QUERIES)
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
-def test_kernel_matches_reference_byte_for_byte(name, monkeypatch):
-    query = QUERIES[name]
-    reference_bytes, reference_work = _run_in_mode("0", query, monkeypatch)
-    kernel_bytes, kernel_work = _run_in_mode("1", query, monkeypatch)
-    assert kernel_bytes == reference_bytes
-    assert kernel_work == reference_work
+def test_kernel_matches_reference_byte_for_byte(name):
+    payload, work = _run(QUERIES[name])
+    expected = FIXTURE["queries"][name]
+    assert payload == expected["payload"]
+    assert work == expected["work"]
 
 
-def test_error_parity_for_incomparable_predicates(monkeypatch):
+def test_error_parity_for_incomparable_predicates():
     query = Query(table="downloads", where=(Filter("mean_speed", "lt", "x"),))
-    messages = []
-    for mode in ("0", "1"):
-        monkeypatch.setenv("REPRO_QUERY_KERNELS", mode)
-        cdb = columnar_view(populated_db())
-        with pytest.raises(DataError) as err:
-            run_query(cdb, query)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
-    assert "incomparable" in messages[0]
+    message = _error_message(query)
+    assert message == FIXTURE["errors"]["incomparable"]
+    assert "incomparable" in message
 
 
-def test_error_parity_for_incomparable_dict_predicates(monkeypatch):
+def test_error_parity_for_incomparable_dict_predicates():
     # the dict-column truth table is built lazily, so the error still
-    # surfaces on the same first offending row as the reference walk
+    # surfaces on the first offending row
     query = Query(table="faults", where=(Filter("kind", "lt", 3),))
-    messages = []
-    for mode in ("0", "1"):
-        monkeypatch.setenv("REPRO_QUERY_KERNELS", mode)
-        cdb = columnar_view(populated_db())
-        with pytest.raises(DataError) as err:
-            run_query(cdb, query)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
-    assert "incomparable" in messages[0]
+    message = _error_message(query)
+    assert message == FIXTURE["errors"]["incomparable_dict"]
+    assert "incomparable" in message
 
 
-def test_helpers_agree_across_modes(monkeypatch):
-    results = []
-    for mode in ("0", "1"):
-        monkeypatch.setenv("REPRO_QUERY_KERNELS", mode)
-        results.append(dual_stack_sites(columnar_view(populated_db())))
-    assert results[0] == results[1]
-
-
-def test_kernels_on_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_QUERY_KERNELS", raising=False)
-    assert kernels_enabled() is True
+def test_helpers_agree_across_modes():
+    assert dual_stack_sites(columnar_view(populated_db())) == (
+        FIXTURE["dual_stack_sites"]
+    )

@@ -1,8 +1,8 @@
 """The streamed encodings equal their one-shot definitions.
 
-The campaign store never materialises a whole campaign's JSON text: the
-repository digest is hashed from per-table chunks in sorted-key order,
-and ``columnar.json`` is written one column at a time.  Both are checked
+No caller materialises a whole campaign's JSON text: the repository
+digest is hashed from per-table chunks in sorted-key order, and the
+columnar JSON text is streamed one column at a time.  Both are checked
 here against the definitions they stand in for, over randomly populated
 repositories (every dtype, empty tables, unicode, optional
 ``faults``/``transitions`` tables, several vantages in unsorted
@@ -10,7 +10,7 @@ insertion order):
 
 * ``CentralRepository.content_digest()`` equals
   ``sha256(json.dumps(to_dict(), sort_keys=True, separators=(",", ":")))``,
-  and the compact chunks the store writes to ``repository.json`` equal
+  and the compact chunks of ``WireEncoding.iter_json()`` equal
   ``json.dumps(to_dict(), separators=(",", ":"))``;
 * ``"".join(iter_columnar_json(r))`` equals
   ``json.dumps(r.to_payload(), separators=(",", ":"))``, also for a

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
+import threading
 
 import pytest
 
@@ -110,7 +113,7 @@ class TestCampaignStore:
         cfg = small_config(seed=3)
         repository, reports = tiny_campaign()
         entry = store.save(cfg, repository, reports)
-        (entry / "repository.json").write_text("{not json", encoding="utf-8")
+        (entry / "columnar.bin").write_bytes(b"\x00")
         assert store.load(cfg) is None
 
     def test_meta_records_repository_digest(self, tmp_path):
@@ -123,8 +126,35 @@ class TestCampaignStore:
         assert meta["seed"] == cfg.seed
 
 
+def _rewrite_bin_meta(entry, mutate) -> None:
+    """Rewrite ``columnar.bin``'s metadata with a valid sha256, so the
+    decoder's structural checks (not the digest) must catch ``mutate``."""
+    from repro.data.columnar import _BINARY_HEADER
+
+    path = entry / "columnar.bin"
+    data = path.read_bytes()
+    magic, version, meta_length, _ = _BINARY_HEADER.unpack_from(data)
+    start = _BINARY_HEADER.size
+    meta = json.loads(data[start : start + meta_length])
+    mutate(meta)
+    meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    body = data[start + meta_length :]
+    digest = hashlib.sha256(meta_bytes + body).digest()
+    path.write_bytes(
+        _BINARY_HEADER.pack(magic, version, len(meta_bytes), digest)
+        + meta_bytes
+        + body
+    )
+
+
+def _downloads_meta(meta) -> dict:
+    (database,) = meta["databases"]
+    return next(t for t in database["tables"] if t["name"] == "downloads")
+
+
 class TestCorruptedEntryRobustness:
-    """Any unreadable cache entry is a miss with a warning — never a crash."""
+    """Any unreadable cache entry is a miss with a warning — never a crash —
+    and the next save replaces it."""
 
     @staticmethod
     def _saved_entry(tmp_path):
@@ -135,55 +165,81 @@ class TestCorruptedEntryRobustness:
         return store, cfg, repository, reports, entry
 
     def _assert_miss_then_recompute(self, store, cfg, repository, reports):
+        digest = config_digest(cfg)
         assert store.load(cfg) is None
+        assert store.load_repository(cfg) is None
         # "Recompute" in the CLI means re-running and re-saving; the
         # rewritten entry must be fully usable again.
         store.save(cfg, repository, reports)
         stored = store.load(cfg)
         assert stored is not None
         assert stored.repository.content_digest() == repository.content_digest()
+        assert store.load_columnar_entry(digest) is not None
 
-    def test_truncated_repository_json(self, tmp_path):
+    def test_truncated_columnar_bin(self, tmp_path):
         store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
-        payload = (entry / "repository.json").read_text(encoding="utf-8")
-        (entry / "repository.json").write_text(
-            payload[: len(payload) // 2], encoding="utf-8"
-        )
+        payload = (entry / "columnar.bin").read_bytes()
+        (entry / "columnar.bin").write_bytes(payload[: len(payload) // 2])
+        assert store.load_columnar_entry(config_digest(cfg)) is None
+        self._assert_miss_then_recompute(store, cfg, repository, reports)
+
+    def test_byte_flipped_columnar_bin(self, tmp_path):
+        store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
+        payload = bytearray((entry / "columnar.bin").read_bytes())
+        payload[-1] ^= 0xFF
+        (entry / "columnar.bin").write_bytes(bytes(payload))
+        assert store.load_columnar_entry(config_digest(cfg)) is None
+        self._assert_miss_then_recompute(store, cfg, repository, reports)
+
+    def test_missing_columnar_bin(self, tmp_path):
+        store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
+        (entry / "columnar.bin").unlink()
+        assert store.load_columnar_entry(config_digest(cfg)) is None
         self._assert_miss_then_recompute(store, cfg, repository, reports)
 
     def test_missing_reports_key(self, tmp_path):
         store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
         (entry / "reports.json").write_text("{}", encoding="utf-8")
-        self._assert_miss_then_recompute(store, cfg, repository, reports)
+        assert store.load(cfg) is None
+        store.save(cfg, repository, reports)
+        assert store.load(cfg).reports == reports
 
     def test_malformed_table_rows(self, tmp_path):
         store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
-        data = json.loads((entry / "repository.json").read_text(encoding="utf-8"))
-        vantage_name = next(iter(data["databases"]))
-        data["databases"][vantage_name]["downloads"] = [17]
-        (entry / "repository.json").write_text(json.dumps(data), encoding="utf-8")
+
+        def shrink(meta):
+            column = _downloads_meta(meta)["columns"][0]
+            column["nbytes"] -= 8
+
+        _rewrite_bin_meta(entry, shrink)
         self._assert_miss_then_recompute(store, cfg, repository, reports)
 
     def test_unsupported_database_format(self, tmp_path):
         store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
-        data = json.loads((entry / "repository.json").read_text(encoding="utf-8"))
-        vantage_name = next(iter(data["databases"]))
-        data["databases"][vantage_name]["format"] = 99
-        (entry / "repository.json").write_text(json.dumps(data), encoding="utf-8")
+        _rewrite_bin_meta(entry, lambda meta: meta.update(format=99))
         self._assert_miss_then_recompute(store, cfg, repository, reports)
 
     def test_out_of_order_rows_violate_invariant(self, tmp_path):
+        from repro.data.columnar import (
+            ColumnarRepository,
+            ColumnarTable,
+            write_columnar_binary,
+        )
+
         store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
-        data = json.loads((entry / "repository.json").read_text(encoding="utf-8"))
-        vantage_name = next(iter(data["databases"]))
-        rows = data["databases"][vantage_name]["downloads"]
+        # a well-formed binary (valid digest) whose download rows are out
+        # of round order: rebuilding the database rejects it
+        columnar = ColumnarRepository.from_repository(tiny_campaign()[0])
+        cdb = columnar.databases["T"]
+        rows = cdb.tables["downloads"].rows()
         rows.reverse()
-        (entry / "repository.json").write_text(json.dumps(data), encoding="utf-8")
+        cdb.tables["downloads"] = ColumnarTable.from_rows("downloads", rows)
+        write_columnar_binary(entry / "columnar.bin", columnar)
         self._assert_miss_then_recompute(store, cfg, repository, reports)
 
     def test_corruption_is_logged_as_warning(self, tmp_path, caplog):
         store, cfg, repository, reports, entry = self._saved_entry(tmp_path)
-        (entry / "repository.json").write_text("{not json", encoding="utf-8")
+        (entry / "columnar.bin").write_bytes(b"RPRCOL garbage")
         with caplog.at_level("WARNING", logger="repro.engine.store"):
             assert store.load(cfg) is None
         assert any(
@@ -193,18 +249,20 @@ class TestCorruptedEntryRobustness:
 
 
 class TestColumnarArtifact:
-    """columnar.json and the no-world load paths."""
+    """columnar.bin is the entry's only copy of the measurement data."""
 
-    def test_save_writes_columnar_json(self, tmp_path):
-        from repro.data.columnar import ColumnarRepository
-
+    def test_save_writes_only_the_binary_artifact(self, tmp_path):
         store = CampaignStore(tmp_path)
         cfg = small_config(seed=3)
         repository, reports = tiny_campaign()
         entry = store.save(cfg, repository, reports)
-        payload = json.loads((entry / "columnar.json").read_text(encoding="utf-8"))
-        rebuilt = ColumnarRepository.from_payload(payload).to_repository()
-        assert rebuilt.content_digest() == repository.content_digest()
+        assert sorted(p.name for p in entry.iterdir()) == [
+            "columnar.bin", "meta.json", "reports.json",
+        ]
+        entry = store.save(cfg, repository, reports, kind="w6d", world={"w": 1})
+        assert sorted(p.name for p in entry.iterdir()) == [
+            "columnar.bin", "meta.json", "reports.json", "world.pkl",
+        ]
 
     def test_load_repository_without_world(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -229,22 +287,6 @@ class TestColumnarArtifact:
         )
         assert store.load_columnar_entry("deadbeef") is None
 
-    def test_load_columnar_entry_derives_from_legacy_rows(self, tmp_path):
-        # entries written before the columnar layer lack columnar.json
-        # and columnar.bin; loading transposes repository.json on the fly
-        store = CampaignStore(tmp_path)
-        cfg = small_config(seed=3)
-        repository, reports = tiny_campaign()
-        entry = store.save(cfg, repository, reports)
-        (entry / "columnar.json").unlink()
-        (entry / "columnar.bin").unlink()
-        loaded = store.load_columnar_entry(config_digest(cfg))
-        assert loaded is not None
-        _, columnar = loaded
-        assert columnar.to_repository().content_digest() == (
-            repository.content_digest()
-        )
-
     def test_save_writes_binary_artifact(self, tmp_path):
         from repro.data.columnar import BINARY_MAGIC, load_columnar_binary
 
@@ -265,19 +307,17 @@ class TestColumnarArtifact:
         store = CampaignStore(tmp_path)
         cfg = small_config(seed=3)
         repository, reports = tiny_campaign()
-        entry = store.save(cfg, repository, reports)
-        # even with a corrupt columnar.json the binary serves the load
-        (entry / "columnar.json").write_text("{not json", encoding="utf-8")
-        before = metrics.counter("engine.store.bin_loads").value
-        loaded = store.load_columnar_entry(config_digest(cfg))
-        assert loaded is not None
-        assert metrics.counter("engine.store.bin_loads").value == before + 1
-        _, columnar = loaded
-        assert columnar.to_repository().content_digest() == (
-            repository.content_digest()
-        )
+        store.save(cfg, repository, reports)
+        loads = metrics.counter("engine.store.bin_loads")
+        before = loads.value
+        # every load path is served from columnar.bin
+        assert store.load_columnar_entry(config_digest(cfg)) is not None
+        assert store.load_repository(cfg) is not None
+        stored = store.load(cfg)
+        assert loads.value == before + 3
+        assert stored.repository.content_digest() == repository.content_digest()
 
-    def test_corrupt_binary_falls_back_to_json(self, tmp_path):
+    def test_corrupt_binary_is_a_miss(self, tmp_path):
         from repro.obs import metrics
 
         store = CampaignStore(tmp_path)
@@ -285,36 +325,164 @@ class TestColumnarArtifact:
         repository, reports = tiny_campaign()
         entry = store.save(cfg, repository, reports)
         (entry / "columnar.bin").write_bytes(b"RPRCOL garbage")
-        before = metrics.counter("engine.store.bin_fallbacks").value
-        loaded = store.load_columnar_entry(config_digest(cfg))
-        assert loaded is not None
-        assert metrics.counter("engine.store.bin_fallbacks").value == before + 1
-        _, columnar = loaded
-        assert columnar.to_repository().content_digest() == (
-            repository.content_digest()
-        )
-
-    def test_prefer_binary_false_forces_json_path(self, tmp_path):
-        from repro.obs import metrics
-
-        store = CampaignStore(tmp_path)
-        cfg = small_config(seed=3)
-        repository, reports = tiny_campaign()
-        store.save(cfg, repository, reports)
-        before = metrics.counter("engine.store.bin_loads").value
-        loaded = store.load_columnar_entry(config_digest(cfg), prefer_binary=False)
-        assert loaded is not None
-        assert metrics.counter("engine.store.bin_loads").value == before
+        loads = metrics.counter("engine.store.bin_loads")
+        misses = metrics.counter("engine.store.misses")
+        before_loads, before_misses = loads.value, misses.value
+        assert store.load_columnar_entry(config_digest(cfg)) is None
+        assert loads.value == before_loads
+        assert misses.value == before_misses + 1
 
     def test_corrupt_columnar_artifacts_are_a_miss(self, tmp_path):
         store = CampaignStore(tmp_path)
         cfg = small_config(seed=3)
         repository, reports = tiny_campaign()
         entry = store.save(cfg, repository, reports)
-        (entry / "columnar.json").write_text("{not json", encoding="utf-8")
         (entry / "columnar.bin").write_bytes(b"\x00")
-        (entry / "repository.json").write_text("{not json", encoding="utf-8")
         assert store.load_columnar_entry(config_digest(cfg)) is None
+        assert store.load_repository(cfg) is None
+        assert store.load(cfg) is None
+
+    def test_loaded_databases_memoise_their_columns(self, tmp_path):
+        from repro.data.columnar import columnar_view
+        from repro.obs import metrics
+
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        repository, reports = tiny_campaign()
+        store.save(cfg, repository, reports)
+        encodes = metrics.counter("data.columnar.encodes")
+        before = encodes.value
+        loaded = store.load_repository(cfg)
+        view = columnar_view(loaded.database("T"))
+        assert encodes.value == before  # the decoded columns, no transpose
+        assert view.row_counts() == columnar_view(
+            repository.database("T")
+        ).row_counts()
+
+
+#: content digest of :func:`tiny_campaign`'s repository.
+TINY_DIGEST = "3dc4d118dc3bb5a8f0bb17b0d933d64fe1c4f952b04b1a8faa6c69f0e38436da"
+
+
+class TestAtomicSave:
+    """A reader sees a complete entry or a miss, never half an entry."""
+
+    @staticmethod
+    def _partial_entries(store) -> list:
+        campaigns = store.root / "campaigns"
+        if not campaigns.is_dir():
+            return []
+        return [p for p in campaigns.iterdir() if not (p / "meta.json").exists()]
+
+    @staticmethod
+    def _fail_after_binary(monkeypatch):
+        from repro.data import columnar
+
+        write = columnar.write_columnar_binary
+
+        def write_then_fail(path, repository):
+            write(path, repository)
+            raise OSError("disk full after columnar.bin")
+
+        monkeypatch.setattr(columnar, "write_columnar_binary", write_then_fail)
+
+    def test_failed_first_save_is_a_miss(self, tmp_path, monkeypatch):
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        repository, reports = tiny_campaign()
+        self._fail_after_binary(monkeypatch)
+        with pytest.raises(OSError):
+            store.save(cfg, repository, reports)
+        assert store.load(cfg) is None
+        assert self._partial_entries(store) == []
+        assert list((tmp_path / "staging").iterdir()) == []
+
+    def test_failed_save_keeps_the_previous_entry(self, tmp_path, monkeypatch):
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        previous, reports = tiny_campaign()
+        previous.database("T").add_dns(DnsObservation(3, "s3", 1, True, True))
+        store.save(cfg, previous, reports)
+        self._fail_after_binary(monkeypatch)
+        with pytest.raises(OSError):
+            store.save(cfg, *tiny_campaign())
+        stored = store.load(cfg)
+        assert stored.repository.content_digest() == previous.content_digest()
+        assert previous.content_digest() != TINY_DIGEST
+        assert self._partial_entries(store) == []
+        assert list((tmp_path / "staging").iterdir()) == []
+
+    def test_concurrent_saves_leave_one_entry(self, tmp_path):
+        # more savers than cores, switching threads as often as possible
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                barrier = threading.Barrier(4)
+                errors = []
+
+                def save():
+                    repository, reports = tiny_campaign()
+                    barrier.wait()
+                    try:
+                        store.save(cfg, repository, reports)
+                    except Exception as exc:  # surfaced by the assert below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=save) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert errors == []
+                assert [e.digest for e in store.entries()] == [config_digest(cfg)]
+                assert list((tmp_path / "campaigns").iterdir()) == [
+                    store.entry_dir(config_digest(cfg))
+                ]
+                assert list((tmp_path / "staging").iterdir()) == []
+                stored = store.load(cfg)
+                assert stored.repository.content_digest() == TINY_DIGEST
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_stale_staging_directory_is_never_listed(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        repository, reports = tiny_campaign()
+        entry = store.save(cfg, repository, reports)
+        # a save killed before publishing leaves a complete-looking
+        # directory behind in the staging area
+        stale = tmp_path / "staging" / "stale"
+        stale.mkdir()
+        for path in entry.iterdir():
+            (stale / path.name).write_bytes(path.read_bytes())
+        assert [e.path for e in store.entries()] == [entry]
+        store.save(cfg, repository, reports)
+        assert [e.path for e in store.entries()] == [entry]
+
+    def test_observer_reports_leave_no_temporary_files(self, tmp_path):
+        from repro.observers import ObserverReport
+
+        store = CampaignStore(tmp_path)
+        cfg = small_config(seed=3)
+        repository, reports = tiny_campaign()
+        store.save(cfg, repository, reports)
+        digest = config_digest(cfg)
+        report = ObserverReport(
+            name="speed_parity", version=1, campaign_digest=digest,
+            body={"summary": {"x": 1.0}, "series": {}},
+        )
+        store.save_observer_reports(digest, {"speed_parity": report})
+        store.save_observer_reports(digest, {"speed_parity": report})
+        assert [p.name for p in store.observers_dir(digest).iterdir()] == [
+            "speed_parity.json"
+        ]
+        assert store.load_observer_report(digest, "speed_parity") == (
+            report.canonical_bytes()
+        )
 
 
 class TestColumnarMemo:

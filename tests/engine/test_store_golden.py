@@ -1,12 +1,16 @@
 """Golden bytes of a campaign store entry.
 
-``CampaignStore.save`` writes several derived artifacts per campaign
-(``repository.json``, ``columnar.json``, ``columnar.bin``,
-``reports.json``, ``meta.json``).  This module pins the sha256 of every
-one of them, plus the ``repository_digest`` that ``meta.json`` records,
-for two small seeded campaigns: one faults-off, and one with the
-``heavy`` fault preset and the NAT64/DNS64 transition axis on.  Any
-change to how the save encodes a campaign must keep these bytes.
+``CampaignStore.save`` writes ``columnar.bin``, ``reports.json`` and
+``meta.json`` per campaign (plus ``world.pkl`` when given a world).
+This module pins the sha256 of each of them, plus the
+``repository_digest`` that ``meta.json`` records, for two small seeded
+campaigns: one faults-off, and one with the ``heavy`` fault preset and
+the NAT64/DNS64 transition axis on.  It also pins the two JSON
+encodings of the campaign — the ``repository.json`` and
+``columnar.json`` texts earlier store layouts wrote — re-encoded from
+what a load decodes out of ``columnar.bin``, which shows the binary
+round trip is lossless.  Any change to how the save encodes a campaign
+must keep these bytes.
 
 ``world.pkl`` is left out: pickle bytes are not part of the contract.
 
@@ -29,8 +33,10 @@ import pytest
 from repro.config import CampaignConfig, small_config
 from repro.core.campaign import run_campaign
 from repro.core.world import build_world
-from repro.engine.store import CampaignStore
+from repro.data.columnar import iter_columnar_json
+from repro.engine.store import CampaignStore, config_digest
 from repro.faults import fault_preset
+from repro.monitor.aggregate import WireEncoding
 
 FIXTURE = (
     pathlib.Path(__file__).parent.parent / "fixtures" / "golden_store_entry.json"
@@ -63,14 +69,30 @@ CAMPAIGNS = {
 }
 
 
+def _sha256_of_chunks(chunks) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()
+
+
 def _entry_summary(tmp_path: pathlib.Path, config) -> dict:
     result = run_campaign(build_world(config))
-    entry = CampaignStore(tmp_path).save(config, result.repository, result.reports)
+    store = CampaignStore(tmp_path)
+    entry = store.save(config, result.repository, result.reports)
     files = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(entry.iterdir())
         if path.is_file() and path.name != "world.pkl"
     }
+    assert sorted(files) == ["columnar.bin", "meta.json", "reports.json"]
+    loaded = store.load_repository(config)
+    encoding = WireEncoding(loaded)
+    for vantage, db in loaded.items():
+        encoding.add(vantage.name, db.to_dict())
+    files["repository.json"] = _sha256_of_chunks(encoding.iter_json())
+    _, columnar = store.load_columnar_entry(config_digest(config))
+    files["columnar.json"] = _sha256_of_chunks(iter_columnar_json(columnar))
     meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
     databases = [result.repository.database(n) for n in result.repository.vantage_names]
     return {

@@ -42,6 +42,25 @@ class TestRoundFlow:
         assert report.n_monitored == 0
         assert len(tool.database.dns_counts) == 0
 
+    def test_one_site_list_call_per_active_round(
+        self, mini_vantage, mini_env, monitor_config, mini_rng
+    ):
+        from dataclasses import replace
+
+        calls = []
+        top_list = mini_env.site_list
+
+        def counting_site_list(round_idx):
+            calls.append(round_idx)
+            return top_list(round_idx)
+
+        env = replace(mini_env, site_list=counting_site_list)
+        late = replace(mini_vantage, start_round=1)
+        tool = MonitoringTool(late, env, monitor_config, mini_rng)
+        for round_idx in range(4):
+            tool.run_round(round_idx)
+        assert calls == [1, 2, 3]
+
     def test_monitored_set_persists(self, tool):
         tool.run_round(0)
         tool.run_round(1)
