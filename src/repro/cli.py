@@ -433,19 +433,20 @@ def _cmd_observe(args: argparse.Namespace) -> int:
                 ),
             )
         digest = config_digest(config, WEEKLY)
-        repository = None
-        if store is not None:
-            repository = store.load_repository(config, kind=WEEKLY)
-        if repository is None:
+        # a hit runs the panel on the entry's decoded columns; a miss on
+        # the transposes its save memoised (no second encode either way)
+        loaded = store.load_columnar_entry(digest) if store is not None else None
+        if loaded is not None:
+            columnar = loaded[1]
+        else:
             world = build_world(config)
             result = run_campaign(world, execution=execution)
-            repository = result.repository
             if store is not None:
                 store.save(
                     config, result.repository, result.reports, kind=WEEKLY,
                     world=world,
                 )
-        columnar = ColumnarRepository.from_repository(repository)
+            columnar = ColumnarRepository.from_views(result.repository)
         reports = run_panel(columnar, campaign_digest=digest, names=names)
         if store is not None:
             store.save_observer_reports(digest, reports)

@@ -499,9 +499,6 @@ class World:
             range(self.catalog.ranking.universe_size, len(self.catalog.sites))
         )
 
-    def monitor_rng(self, vantage: VantagePoint) -> random.Random:
-        return self.rngs.stream(f"monitor:{vantage.name}")
-
 
 def _vantage_candidates(topo: DualStackTopology) -> list[int]:
     """ASes suitable to host a monitor: v6-enabled edge ASes, no tunnel.

@@ -42,7 +42,6 @@ import json
 import struct
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -262,25 +261,54 @@ class SortedIndex:
     The sort is stable, so within one full key the original row order —
     the monitor's monotone round order — is preserved, and an equal-range
     probe on a key *prefix* (``site_id`` alone, or ``site_id, family``)
-    returns rows in ascending row id.
+    returns rows in ascending row id.  Each prefix length gets a
+    ``prefix -> (lo, hi)`` map over the sorted order, built on its first
+    probe, so a probe is one dict lookup.
     """
 
     def __init__(self, table: "ColumnarTable", keys: tuple[str, ...]) -> None:
         self.keys = keys
-        columns = [table.column(key) for key in keys]
-
-        def key_of(row: int) -> tuple:
-            return tuple(column.raw(row) for column in columns)
-
-        self.order = sorted(range(table.n_rows), key=key_of)
-        self._tuples = [key_of(row) for row in self.order]
+        # each key's raw storage (dictionary codes, bools as 0/1); the
+        # key tuples live only while sorting
+        self._storage = [
+            column.codes if isinstance(column, DictColumn) else column.values
+            for column in (table.column(key) for key in keys)
+        ]
+        key_of = list(zip(*self._storage)).__getitem__
+        self.order = array("q", sorted(range(table.n_rows), key=key_of))
+        self._ranges: dict[int, dict[tuple, tuple[int, int]]] = {}
 
     def equal_range(self, prefix: tuple) -> list[int]:
         """Row ids whose key starts with ``prefix``, ascending."""
         k = len(prefix)
-        lo = bisect_left(self._tuples, prefix, key=lambda t: t[:k])
-        hi = bisect_right(self._tuples, prefix, key=lambda t: t[:k])
+        ranges = self._ranges.get(k)
+        if ranges is None:
+            ranges = self._ranges[k] = self._prefix_ranges(k)
+        try:
+            bounds = ranges.get(prefix)
+        except TypeError:  # an unhashable value equals no key
+            return []
+        if bounds is None:
+            return []
+        lo, hi = bounds
         return sorted(self.order[lo:hi])
+
+    def _prefix_ranges(self, k: int) -> dict[tuple, tuple[int, int]]:
+        """``prefix -> (lo, hi)`` positions in ``order``, in one pass."""
+        order = self.order
+        prefixes = zip(
+            *[[column[row] for row in order] for column in self._storage[:k]]
+        )
+        ranges: dict[tuple, tuple[int, int]] = {}
+        lo, current = 0, None
+        for position, prefix in enumerate(prefixes):
+            if prefix != current:
+                if position:
+                    ranges[current] = (lo, position)
+                lo, current = position, prefix
+        if order:
+            ranges[current] = (lo, len(order))
+        return ranges
 
 
 #: table name -> (column name, dtype or "dict") in wire-row order.
@@ -430,10 +458,6 @@ class ColumnarDatabase:
             )
         return self.tables[name]
 
-    @property
-    def table_names(self) -> list[str]:
-        return list(self.tables)
-
     def row_counts(self) -> dict[str, int]:
         return {name: table.n_rows for name, table in self.tables.items()}
 
@@ -561,6 +585,16 @@ class ColumnarRepository:
             cdb = ColumnarDatabase.from_database(db, data)
             databases[vantage.name] = db._columnar_cache = cdb
             del data  # one database's rows alive at a time
+        return cls(vantages=vantages, databases=databases)
+
+    @classmethod
+    def from_views(cls, repository: CentralRepository) -> "ColumnarRepository":
+        """Every database's :func:`columnar_view`: transposes a save
+        already memoised are reused, the rest are encoded once."""
+        vantages, databases = {}, {}
+        for vantage, db in repository.items():
+            vantages[vantage.name] = vantage.to_dict()
+            databases[vantage.name] = columnar_view(db)
         return cls(vantages=vantages, databases=databases)
 
     def to_repository(self) -> CentralRepository:

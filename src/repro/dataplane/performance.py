@@ -100,21 +100,6 @@ class ThroughputModel:
             speed *= self._faults.path_degradation(path.as_path, round_idx)
         return speed
 
-    def round_factor_batch(
-        self, site_ids: list[int], families: list, round_idx: int
-    ) -> list[float]:
-        """Batched :meth:`round_factor` over parallel site/family arrays.
-
-        Element-for-element identical to the scalar calls (it shares the
-        same per-coordinate memo and private derived streams, so the
-        evaluation order cannot perturb any value).
-        """
-        factor = self.round_factor
-        return [
-            factor(site_id, family, round_idx)
-            for site_id, family in zip(site_ids, families)
-        ]
-
     def round_mean_speed_batch(
         self,
         server_speeds: list[float],

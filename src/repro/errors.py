@@ -68,10 +68,6 @@ class MonitorError(ReproError):
     """The monitoring tool was driven incorrectly (bad round order, ...)."""
 
 
-class AnalysisError(ReproError):
-    """An analysis step received data it cannot process."""
-
-
 class EngineError(ReproError):
     """The execution engine was misused or a shard could not be executed."""
 

@@ -364,10 +364,6 @@ class MeasurementDatabase:
 
     # -- population queries ------------------------------------------------------
 
-    def sites_seen(self) -> list[int]:
-        """Every site with at least one DNS observation."""
-        return sorted(self.dns)
-
     def dual_stack_sites(self) -> list[int]:
         """Sites with converged download data in both families.
 

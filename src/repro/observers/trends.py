@@ -8,7 +8,15 @@ applied identically by the runner to every observer series):
   is flagged when the per-round slope, normalised by the series mean, is
   at least ``slope_threshold`` (default 0.004 = 0.4%/round, the paper's
   Table 3 criterion) *and* the slope's p-value is at most
-  ``p_value_threshold`` (default 0.01).
+  ``p_value_threshold`` (default 0.01).  The test is decided in closed
+  form first: over x = 0..n-1, Sxx = n(n²-1)/12, Sxy and Syy come from
+  one pass after the mean, and t² = r²(n-2)/(1-r²).  For a two-sided
+  test p ≤ α exactly when |t| ≥ t(1-α/2, n-2), so |t| is compared with
+  the cached Student-t critical value and no p-value is computed.  Only
+  a series the gate flags, or whose |t| or relative slope lies within
+  1e-9 (relative) of its threshold, is fitted with scipy, and the exact
+  test on scipy's fit decides; the flags carry scipy's slope and
+  p-value bit for bit.
 * **Level break** — the series is split into two equal round windows and
   a Student-t 95% confidence interval is formed over each.  A break is
   flagged when the two intervals are disjoint *and* the later window's

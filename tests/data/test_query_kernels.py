@@ -11,21 +11,31 @@ reference.
 
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
+import random
 
 import pytest
 
 from repro import obs
-from repro.data.columnar import columnar_view
+from repro.data.columnar import (
+    FAMILY_DICTIONARY,
+    TABLE_INDEX_KEYS,
+    TABLE_SCHEMAS,
+    ColumnarTable,
+    columnar_view,
+)
 from repro.data.query import (
     Aggregate,
     Filter,
     Query,
     dual_stack_sites,
     run_query,
+    scan,
 )
 from repro.errors import DataError
+from repro.monitor.database import FAULT_KINDS, TRANSITION_KINDS
 from repro.net.addresses import AddressFamily
 
 from .test_columnar import populated_db
@@ -174,3 +184,81 @@ def test_helpers_agree_across_modes():
     assert dual_stack_sites(columnar_view(populated_db())) == (
         FIXTURE["dual_stack_sites"]
     )
+
+
+# -- index probes ------------------------------------------------------------
+
+_VOCABULARIES = {
+    "family": FAMILY_DICTIONARY,
+    "kind": FAULT_KINDS,
+    "transition": TRANSITION_KINDS,
+}
+
+
+def _random_rows(name: str, n_rows: int, rng: random.Random) -> list[list]:
+    """Wire rows for ``name`` with few distinct key values, in random
+    order, so every prefix spans several (non-adjacent) rows."""
+    def value(column: str, dtype: str):
+        if dtype == "dict":
+            if column in _VOCABULARIES:
+                return rng.choice(_VOCABULARIES[column])
+            return [10, rng.choice([20, 25]), 30]
+        if dtype == "i64":
+            return rng.randrange(4)
+        if dtype == "f64":
+            return rng.uniform(0.0, 200.0)
+        if dtype == "bool":
+            return rng.random() < 0.5
+        return f"s{rng.randrange(3)}"
+
+    return [
+        [value(column, dtype) for column, dtype in TABLE_SCHEMAS[name]]
+        for _ in range(n_rows)
+    ]
+
+
+def _probe_tables():
+    rng = random.Random(21)
+    cdb = columnar_view(populated_db(with_transitions=True))
+    for name in sorted(TABLE_SCHEMAS):
+        yield f"{name}-populated", cdb.table(name)
+        yield f"{name}-random", ColumnarTable.from_rows(
+            name, _random_rows(name, 60, rng)
+        )
+        yield f"{name}-empty", ColumnarTable.from_rows(name, [])
+
+
+@pytest.mark.parametrize(
+    "table", [pytest.param(table, id=label) for label, table in _probe_tables()]
+)
+def test_equal_range_matches_brute_force_for_every_prefix(table):
+    keys = TABLE_INDEX_KEYS[table.name]
+    index = table.index()
+    columns = [table.column(key) for key in keys]
+    key_rows = [
+        tuple(column.raw(row) for column in columns) for row in range(table.n_rows)
+    ]
+    for k in range(1, len(keys) + 1):
+        present = {key[:k] for key in key_rows}
+        # every combination of seen values per position, plus a value no
+        # row holds, so absent prefixes are probed next to present ones
+        per_position = [
+            sorted({key[i] for key in key_rows}) + [99] for i in range(k)
+        ]
+        probes = set(itertools.product(*per_position)) | present | {(99,) * k}
+        for prefix in sorted(probes):
+            expected = [row for row, key in enumerate(key_rows) if key[:k] == prefix]
+            assert index.equal_range(prefix) == expected, (table.name, prefix)
+
+
+@pytest.mark.parametrize("value", ["x", float("nan"), [1]], ids=repr)
+def test_index_probe_with_a_value_no_key_equals(value):
+    # an eq predicate pushed into the index agrees with Filter.matches on
+    # a full scan: a value equal to no stored key selects no rows
+    table = columnar_view(populated_db()).table("downloads")
+    predicate = Filter("site_id", "eq", value)
+    column = table.column("site_id")
+    expected = [
+        row for row in range(table.n_rows) if predicate.matches(column.get(row))
+    ]
+    assert scan(table, (predicate,)) == expected == []

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
+from repro import obs
 from repro.cli import build_parser, main
 from repro.engine import WEEKLY
 from repro.engine.store import CampaignStore
@@ -55,6 +57,35 @@ def test_observe_persists_reports_to_store(tmp_path, capsys):
     # a second run hits the store and reuses the campaign
     assert main(["observe", "--seed", "11", "--cache-dir", str(cache)]) == 0
     assert len(store.entries()) == 1
+
+
+#: sha256 of the ``observe --seed 11 --scale 0.1 --json`` document, which
+#: a store miss and a store hit must both print.
+OBSERVE_SEED11_SCALE01_SHA256 = (
+    "d05afbb02ee81d5d90ddecd5743e2b9316769565cf19c8da6528a7e705b9f6c4"
+)
+
+
+def test_observe_store_hit_reuses_the_entry_columns(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = [
+        "observe", "--seed", "11", "--scale", "0.1",
+        "--cache-dir", str(cache), "--json",
+    ]
+    encodes = obs.get_registry().counter("data.columnar.encodes")
+    documents, deltas = [], []
+    for _ in ("miss", "hit"):
+        before = encodes.value
+        assert main(argv) == 0
+        deltas.append(encodes.value - before)
+        documents.append(capsys.readouterr().out.encode("utf-8"))
+    store = CampaignStore(cache)
+    _, columnar = store.load_columnar_entry(store.entries()[0].digest)
+    # the miss transposes each database once (in its save); the hit
+    # runs on the decoded columnar.bin and encodes nothing
+    assert deltas == [len(columnar.databases), 0]
+    assert documents[1] == documents[0]
+    assert hashlib.sha256(documents[1]).hexdigest() == OBSERVE_SEED11_SCALE01_SHA256
 
 
 def test_observe_subset(capsys):
