@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterable
 
 from ..data.columnar import columnar_view
-from ..data.query import dest_asn, modal_as_path
+from ..data.series import dest_asn, modal_as_path
 from ..monitor.database import MeasurementDatabase
 from ..net.addresses import AddressFamily
 from ..obs import span

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from ..config import AnalysisConfig, MonitorConfig
 from ..data.columnar import columnar_view
-from ..data.query import converged_speeds, download_rounds, path_change_rounds
+from ..data.series import converged_speeds, download_rounds, path_change_rounds
 from ..monitor.database import MeasurementDatabase
 from ..net.addresses import AddressFamily
 from ..obs import metrics, span

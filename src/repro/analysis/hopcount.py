@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..data.columnar import columnar_view
-from ..data.query import mean_speed as query_mean_speed
-from ..data.query import modal_as_path
+from ..data.series import mean_speed as series_mean_speed
+from ..data.series import modal_as_path
 from ..monitor.database import MeasurementDatabase
 from ..net.addresses import AddressFamily
 
@@ -58,7 +58,7 @@ def performance_by_hopcount(
     for site_id in site_ids:
         for family in (AddressFamily.IPV4, AddressFamily.IPV6):
             path = modal_as_path(cdb, site_id, family)
-            speed = query_mean_speed(cdb, site_id, family)
+            speed = series_mean_speed(cdb, site_id, family)
             if path is None or speed is None or len(path) < 2:
                 continue
             bucket = bucket_of(len(path) - 1)

@@ -2,15 +2,18 @@
 
 The paper's §5.5 promises public access to the measurement data; this
 package is the reproduction's delivery of that promise at system scale.
-Three layers:
+Four layers:
 
 * :mod:`repro.data.columnar` — struct-of-arrays encodings of every
   measurement table with dictionary-encoded AS paths and sorted indices;
   the ``columnar.bin`` campaign-store artifact (bit-identical round
   trips with the row-object database).
 * :mod:`repro.data.query` — filter / project / group-aggregate
-  primitives with predicate pushdown; the analysis layer's row queries
-  run on these, and so do the ad-hoc queries served over HTTP.
+  primitives with predicate pushdown, behind the ad-hoc queries served
+  over HTTP.
+* :mod:`repro.data.series` — per-(site, family) series of a columnar
+  database, built once per table and memoised; the analysis passes,
+  the observer panel and the query module's per-site helpers read it.
 * :mod:`repro.data.serve` — the stdlib-only ``repro serve`` JSON API
   over the campaign store (imported lazily by the CLI; not re-exported
   here to keep ``repro.data`` importable from the engine's store).

@@ -450,6 +450,8 @@ class ColumnarDatabase:
     ) -> None:
         self.vantage_name = vantage_name
         self.tables = tables
+        #: the memoised :class:`repro.data.series.SeriesIndex`.
+        self._series = None
 
     def table(self, name: str) -> ColumnarTable:
         if name not in self.tables:

@@ -2,18 +2,16 @@
 
 One small set of primitives — filter (:func:`scan` with predicate
 pushdown into the sorted indices), projection, and group-aggregate
-(:func:`run_query`) — backs both the batch analysis passes
-(``analysis.classify`` / ``confidence`` / ``hopcount``,
-``monitor.aggregate``'s cross-vantage summaries) and the ad-hoc queries
-``repro serve`` answers over HTTP.  Work is metered in deterministic
-counters (``data.query.scans`` / ``rows_scanned`` / ``index_hits`` /
-``groups_emitted``) that the perf-regression gates compare exactly.
+(:func:`run_query`) — backs the ad-hoc queries ``repro serve`` answers
+over HTTP and the observers' whole-table reads.  Work is metered in
+deterministic counters (``data.query.scans`` / ``rows_scanned`` /
+``index_hits`` / ``groups_emitted``) that the perf-regression gates
+compare exactly.
 
-Every helper in the "domain helpers" section reproduces a
-:class:`~repro.monitor.database.MeasurementDatabase` row-object query
-bit for bit: scans return rows in ascending row id, which is the
-monitor's insertion (round) order, so list contents, float-summation
-order, and tie-breaks are unchanged by the migration.
+The per-site helpers (``converged_speeds``, ``mean_speed``,
+``modal_as_path``, …) read the per-database series index and live in
+:mod:`repro.data.series`; they are re-exported here for callers that
+import them from this module.
 
 Execution is kernelized: predicates evaluate column-at-a-time over the
 raw typed storage (dictionary predicates evaluate once per distinct
@@ -29,9 +27,17 @@ import operator
 from dataclasses import dataclass, field
 
 from ..errors import DataError
-from ..net.addresses import AddressFamily
 from ..obs import metrics
 from .columnar import ColumnarDatabase, ColumnarTable, DictColumn
+from .series import (  # noqa: F401  (re-exported)
+    converged_speeds,
+    download_rounds,
+    dest_asn,
+    dual_stack_sites,
+    mean_speed,
+    modal_as_path,
+    path_change_rounds,
+)
 
 #: deterministic work counters (snapshot by the ``query`` perf workload).
 _SCANS = metrics.counter("data.query.scans")
@@ -394,119 +400,3 @@ def _aggregate_value(table: ColumnarTable, aggregate: Aggregate, rows: list[int]
     if aggregate.op == "min":
         return min(values) if values else None
     return max(values) if values else None  # "max"
-
-
-# -- domain helpers (the analysis layer's row-object queries) ----------------
-
-
-def _site_family(site_id: int, family: AddressFamily) -> tuple[Filter, Filter]:
-    return (
-        Filter("site_id", "eq", site_id),
-        Filter("family", "eq", family.value),
-    )
-
-
-def converged_speeds(
-    cdb: ColumnarDatabase, site_id: int, family: AddressFamily
-) -> list[float]:
-    """Per-round mean speeds in round order (converged rounds only) —
-    :meth:`MeasurementDatabase.speeds` on the query core."""
-    table = cdb.table("downloads")
-    rows = scan(
-        table, (*_site_family(site_id, family), Filter("converged", "eq", True))
-    )
-    return gather(table, "mean_speed", rows)
-
-
-def download_rounds(
-    cdb: ColumnarDatabase, site_id: int, family: AddressFamily
-) -> list[int]:
-    """Round indices of the converged downloads, in round order."""
-    table = cdb.table("downloads")
-    rows = scan(
-        table, (*_site_family(site_id, family), Filter("converged", "eq", True))
-    )
-    return gather(table, "round", rows)
-
-
-def mean_speed(
-    cdb: ColumnarDatabase, site_id: int, family: AddressFamily
-) -> float | None:
-    """Mean of the per-round average speeds; None without data.
-
-    Sums in round order, so the float result is bit-identical to
-    ``analysis.metrics.site_mean_speed``.
-    """
-    speeds = converged_speeds(cdb, site_id, family)
-    if not speeds:
-        return None
-    return sum(speeds) / len(speeds)
-
-
-def dest_asn(
-    cdb: ColumnarDatabase, site_id: int, family: AddressFamily
-) -> int | None:
-    """Destination AS of the site's address in ``family`` (latest row)."""
-    table = cdb.table("paths")
-    rows = scan(table, _site_family(site_id, family))
-    if not rows:
-        return None
-    return table.column("dest_asn").get(rows[-1])
-
-
-def modal_as_path(
-    cdb: ColumnarDatabase, site_id: int, family: AddressFamily
-) -> tuple[int, ...] | None:
-    """The most frequently observed AS path (ties: latest wins) —
-    :meth:`MeasurementDatabase.as_path` over the path dictionary codes."""
-    table = cdb.table("paths")
-    rows = scan(table, _site_family(site_id, family))
-    if not rows:
-        return None
-    path_column = table.column("as_path")
-    codes = [path_column.raw(row) for row in rows]
-    counts: dict[int, int] = {}
-    for code in codes:
-        counts[code] = counts.get(code, 0) + 1
-    best = max(counts.values())
-    for code in reversed(codes):
-        if counts[code] == best:
-            return tuple(path_column.dictionary[code])
-    return tuple(path_column.dictionary[codes[-1]])  # pragma: no cover
-
-
-def path_change_rounds(
-    cdb: ColumnarDatabase, site_id: int, family: AddressFamily
-) -> list[int]:
-    """Rounds at which the observed AS path differed from the previous."""
-    table = cdb.table("paths")
-    rows = scan(table, _site_family(site_id, family))
-    path_column = table.column("as_path")
-    round_column = table.column("round")
-    changes: list[int] = []
-    for prev, cur in zip(rows, rows[1:]):
-        if path_column.raw(prev) != path_column.raw(cur):
-            changes.append(round_column.get(cur))
-    return changes
-
-
-def dual_stack_sites(cdb: ColumnarDatabase) -> list[int]:
-    """Sites with converged download data in both families — the Table 2
-    population, via one group-aggregate over the downloads table."""
-    result = run_query(
-        cdb,
-        Query(
-            table="downloads",
-            where=(Filter("converged", "eq", True),),
-            group_by=("site_id", "family"),
-            aggregates=(Aggregate(op="count", alias="rounds"),),
-        ),
-    )
-    per_family: dict[str, set[int]] = {}
-    for site_id, family in zip(
-        result.columns["site_id"], result.columns["family"]
-    ):
-        per_family.setdefault(family, set()).add(site_id)
-    v4 = per_family.get(AddressFamily.IPV4.value, set())
-    v6 = per_family.get(AddressFamily.IPV6.value, set())
-    return sorted(v4 & v6)

@@ -442,8 +442,8 @@ def query_digest(
 def classification_payload(db: MeasurementDatabase) -> dict:
     """Fig-4 site classification of one vantage, as a JSON-ready dict.
 
-    Computed through ``analysis.classify`` (which itself runs on the
-    query core) over the dual-stack population; the CI serve-smoke job
+    Computed through ``analysis.classify`` (which reads the columnar
+    series index) over the dual-stack population; the CI serve-smoke job
     byte-compares this payload computed from the columnar store against
     the same payload computed from the row-object repository.
     """

@@ -85,12 +85,12 @@ class CentralRepository:
     def common_dual_stack_sites(self) -> set[int]:
         """Sites measured dual-stack from every analysis vantage point.
 
-        Runs on the columnar query core (one group-aggregate over each
-        vantage's downloads table) — lazily imported because
-        ``repro.data`` imports this module.
+        Reads each vantage's columnar series index (one pass over its
+        downloads table) — lazily imported because ``repro.data``
+        imports this module.
         """
         from ..data.columnar import columnar_view
-        from ..data.query import dual_stack_sites
+        from ..data.series import dual_stack_sites
 
         items = self.analysis_items()
         if not items:

@@ -1,8 +1,9 @@
-"""Pluggable derived-metric observers over the query core.
+"""Pluggable derived-metric observers over the columnar tables.
 
 The ROADMAP's observer framework: the paper's one-shot findings (speed
 gaps, path divergence, tunnel inflation) recast as small, pure,
-versioned observer functions over :mod:`repro.data.query`, producing
+versioned observer functions over :mod:`repro.data.series` and
+:mod:`repro.data.query`, producing
 content-addressed canonical-JSON reports with long-horizon trend flags.
 
 * :mod:`repro.observers.registry` — observer declaration + registry;

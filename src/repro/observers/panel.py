@@ -1,6 +1,6 @@
 """The initial observer panel (~50 lines each, à la world-observer).
 
-Derived-metric observers over the query core, each turning one of the
+Derived-metric observers over the columnar tables, each turning one of the
 paper's one-shot findings into a continuously watchable health signal:
 
 * ``region_adoption``   — per-region IPv6 adoption score (Fig 1 / 3a);
@@ -11,6 +11,14 @@ paper's one-shot findings into a continuously watchable health signal:
 * ``hop_inflation``     — v6 vs v4 AS-path length inflation (Tables 7/9);
 * ``transition_matrix`` — native/tunneled/translated adoption and the
   native-vs-NAT64 speed gap (transitions table; empty when off).
+
+The four series observers (``speed_parity``, ``path_stability``,
+``tunnel_prevalence``, ``hop_inflation``) and ``transition_matrix`` read
+each vantage's :mod:`~repro.data.series` index — its ``downloads`` and
+``paths`` tables grouped once into (site, family) series and per-round
+groups, shared by the whole panel and by the analysis — instead of
+issuing point lookups; the others read whole tables through
+:func:`~repro.data.query.run_query`.
 
 Every body follows the same convention: ``summary`` (headline scalars),
 ``per_vantage`` (the breakdown), and ``series`` (per-round trajectories
@@ -23,19 +31,15 @@ execution backends.
 from __future__ import annotations
 
 from ..analysis.hopcount import BUCKETS, bucket_of
-from ..data.columnar import ColumnarDatabase, ColumnarRepository
+from ..data.columnar import ColumnarRepository
 from ..data.query import (
     Aggregate,
-    Filter,
     Query,
-    dual_stack_sites,
     gather,
-    mean_speed,
-    modal_as_path,
-    path_change_rounds,
     run_query,
     scan,
 )
+from ..data.series import series_index
 from ..monitor.database import TRANSITION_KINDS
 from ..net.addresses import AddressFamily
 from .registry import register
@@ -55,29 +59,6 @@ def _sorted_vantages(repository: ColumnarRepository):
 
 def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
-
-
-def _site_families(cdb: ColumnarDatabase, table: str) -> list[tuple[int, str]]:
-    """Distinct (site_id, family) pairs of one table, in group order."""
-    result = run_query(
-        cdb,
-        Query(
-            table=table,
-            group_by=("site_id", "family"),
-            aggregates=(Aggregate(op="count", alias="rows"),),
-        ),
-    )
-    return list(zip(result.columns["site_id"], result.columns["family"]))
-
-
-def _paths_population(cdb: ColumnarDatabase) -> list[int]:
-    """Sites with recorded paths in *both* families, ascending."""
-    per_family: dict[str, set[int]] = {}
-    for site_id, family in _site_families(cdb, "paths"):
-        per_family.setdefault(family, set()).add(site_id)
-    v4 = per_family.get(AddressFamily.IPV4.value, set())
-    v6 = per_family.get(AddressFamily.IPV6.value, set())
-    return sorted(v4 & v6)
 
 
 def _series(points: dict[int, float]) -> dict:
@@ -158,11 +139,13 @@ def speed_parity(repository: ColumnarRepository) -> dict:
     n_comparable = 0
     round_speeds: dict[int, dict[str, list[float]]] = {}
     for name, _, cdb in _sorted_vantages(repository):
+        index = series_index(cdb)
+        downloads = index.downloads
         ratios: list[float] = []
-        for site_id in dual_stack_sites(cdb):
-            v4 = mean_speed(cdb, site_id, AddressFamily.IPV4)
-            v6 = mean_speed(cdb, site_id, AddressFamily.IPV6)
-            if v4 and v6 is not None:
+        for site_id in index.dual_stack_sites:
+            v4 = downloads.series(site_id, AddressFamily.IPV4).mean_speed
+            v6 = downloads.series(site_id, AddressFamily.IPV6).mean_speed
+            if v4:
                 ratios.append(v6 / v4)
         comparable = sum(1 for r in ratios if abs(r - 1.0) <= COMPARABLE_BAND)
         per_vantage[name] = {
@@ -174,22 +157,11 @@ def speed_parity(repository: ColumnarRepository) -> dict:
         }
         all_ratios.extend(ratios)
         n_comparable += comparable
-        # Per-round family means over converged downloads (one scan).
-        result = run_query(
-            cdb,
-            Query(
-                table="downloads",
-                where=(Filter("converged", "eq", True),),
-                group_by=("round", "family"),
-                aggregates=(Aggregate(op="mean", column="mean_speed"),),
-            ),
-        )
-        for r, family, speed in zip(
-            result.columns["round"],
-            result.columns["family"],
-            result.columns["mean_mean_speed"],
-        ):
-            round_speeds.setdefault(r, {}).setdefault(family, []).append(speed)
+        # Per-round family means over converged downloads.
+        for (r, family), speed in downloads.round_means.items():
+            round_speeds.setdefault(r, {}).setdefault(family.value, []).append(
+                speed
+            )
     parity_by_round: dict[int, float] = {}
     for r, families in round_speeds.items():
         v4 = _mean(families.get(AddressFamily.IPV4.value, []))
@@ -226,40 +198,29 @@ def path_stability(repository: ColumnarRepository) -> dict:
     total_transitions = {f.value: 0 for f in _FAMILIES}
     changes_by_round: dict[int, float] = {}
     for name, _, cdb in _sorted_vantages(repository):
-        changes = {f.value: 0 for f in _FAMILIES}
-        transitions = {f.value: 0 for f in _FAMILIES}
-        for site_id, family_value in _site_families(cdb, "paths"):
-            family = AddressFamily(family_value)
-            change_rounds = path_change_rounds(cdb, site_id, family)
-            table = cdb.table("paths")
-            n_rows = len(
-                scan(
-                    table,
-                    (
-                        Filter("site_id", "eq", site_id),
-                        Filter("family", "eq", family_value),
-                    ),
-                )
-            )
-            changes[family_value] += len(change_rounds)
-            transitions[family_value] += max(0, n_rows - 1)
-            for r in change_rounds:
-                changes_by_round[r] = changes_by_round.get(r, 0.0) + 1.0
+        changes = {f: 0 for f in _FAMILIES}
+        transitions = {f: 0 for f in _FAMILIES}
+        for family, by_site in series_index(cdb).paths.by_family.items():
+            for series in by_site.values():
+                changes[family] += len(series.change_rounds)
+                transitions[family] += series.n_rows - 1
+                for r in series.change_rounds:
+                    changes_by_round[r] = changes_by_round.get(r, 0.0) + 1.0
         per_vantage[name] = {
-            family_value: {
-                "changes": changes[family_value],
-                "transitions": transitions[family_value],
+            family.value: {
+                "changes": changes[family],
+                "transitions": transitions[family],
                 "change_rate": (
-                    changes[family_value] / transitions[family_value]
-                    if transitions[family_value]
+                    changes[family] / transitions[family]
+                    if transitions[family]
                     else None
                 ),
             }
-            for family_value in sorted(changes)
+            for family in _FAMILIES
         }
-        for family_value in changes:
-            total_changes[family_value] += changes[family_value]
-            total_transitions[family_value] += transitions[family_value]
+        for family in _FAMILIES:
+            total_changes[family.value] += changes[family]
+            total_transitions[family.value] += transitions[family]
     n_changes = sum(total_changes.values())
     n_transitions = sum(total_transitions.values())
     overall_rate = n_changes / n_transitions if n_transitions else 0.0
@@ -305,10 +266,11 @@ def tunnel_prevalence(repository: ColumnarRepository) -> dict:
     for name, _, cdb in _sorted_vantages(repository):
         suspected = 0
         shortenings: list[float] = []
-        population = _paths_population(cdb)
+        paths = series_index(cdb).paths
+        population = paths.dual_stack_sites
         for site_id in population:
-            v4 = modal_as_path(cdb, site_id, AddressFamily.IPV4)
-            v6 = modal_as_path(cdb, site_id, AddressFamily.IPV6)
+            v4 = paths.series(site_id, AddressFamily.IPV4).modal_path
+            v6 = paths.series(site_id, AddressFamily.IPV6).modal_path
             v4_hops, v6_hops = len(v4) - 1, len(v6) - 1
             if 1 <= v6_hops <= TUNNEL_MAX_HOPS and v4_hops > v6_hops:
                 suspected += 1
@@ -322,17 +284,13 @@ def tunnel_prevalence(repository: ColumnarRepository) -> dict:
         n_suspected += suspected
         n_population += len(population)
         # Per-round share of v6 path observations that look tunnel-short.
-        table = cdb.table("paths")
-        rows = scan(
-            table, (Filter("family", "eq", AddressFamily.IPV6.value),)
-        )
-        rounds = gather(table, "round", rows)
-        path_column = table.column("as_path")
-        for row, r in zip(rows, rounds):
-            hops = len(path_column.get(row)) - 1
+        for (r, family), hops in paths.round_hops.items():
+            if family is not AddressFamily.IPV6:
+                continue
             bucket = short_by_round.setdefault(r, [0, 0])
-            bucket[0] += 1 if 1 <= hops <= TUNNEL_MAX_HOPS else 0
-            bucket[1] += 1
+            for length, n in hops.items():
+                bucket[0] += n if 1 <= length <= TUNNEL_MAX_HOPS else 0
+                bucket[1] += n
     short_fraction = {
         r: (short / total) if total else 0.0
         for r, (short, total) in short_by_round.items()
@@ -449,17 +407,20 @@ def hop_inflation(repository: ColumnarRepository) -> dict:
     histogram: dict[str, dict[str, int]] = {
         f.value: {bucket: 0 for bucket in BUCKETS} for f in _FAMILIES
     }
+    # round -> family -> [hop sum, rows]
     hops_by_round: dict[int, dict[str, list[int]]] = {}
     for name, _, cdb in _sorted_vantages(repository):
+        paths = series_index(cdb).paths
         vantage_hops: dict[str, list[float]] = {f.value: [] for f in _FAMILIES}
-        for site_id in _paths_population(cdb):
-            for family in _FAMILIES:
-                path = modal_as_path(cdb, site_id, family)
-                hops = len(path) - 1
+        for family in _FAMILIES:
+            family_hops = vantage_hops[family.value]
+            buckets = histogram[family.value]
+            for site_id in paths.dual_stack_sites:
+                hops = len(paths.series(site_id, family).modal_path) - 1
                 if hops < 1:
                     continue
-                vantage_hops[family.value].append(float(hops))
-                histogram[family.value][bucket_of(hops)] += 1
+                family_hops.append(float(hops))
+                buckets[bucket_of(hops)] += 1
         v4_mean = _mean(vantage_hops[AddressFamily.IPV4.value])
         v6_mean = _mean(vantage_hops[AddressFamily.IPV6.value])
         per_vantage[name] = {
@@ -473,23 +434,20 @@ def hop_inflation(repository: ColumnarRepository) -> dict:
         }
         for family_value, values in vantage_hops.items():
             all_hops[family_value].extend(values)
-        # Per-round mean path length per family (one scan per vantage).
-        table = cdb.table("paths")
-        rows = scan(table)
-        rounds = gather(table, "round", rows)
-        families = gather(table, "family", rows)
-        path_column = table.column("as_path")
-        for row, r, family_value in zip(rows, rounds, families):
-            hops = len(path_column.get(row)) - 1
-            hops_by_round.setdefault(r, {}).setdefault(
-                family_value, []
-            ).append(hops)
+        # Per-round mean path length per family.
+        for (r, family), hops in paths.round_hops.items():
+            total = hops_by_round.setdefault(r, {}).setdefault(
+                family.value, [0, 0]
+            )
+            for length, n in hops.items():
+                total[0] += length * n
+                total[1] += n
     inflation_by_round: dict[int, float] = {}
     for r, families in hops_by_round.items():
         v4 = families.get(AddressFamily.IPV4.value)
         v6 = families.get(AddressFamily.IPV6.value)
         if v4 and v6:
-            inflation_by_round[r] = (sum(v6) / len(v6)) - (sum(v4) / len(v4))
+            inflation_by_round[r] = (v6[0] / v6[1]) - (v4[0] / v4[1])
     v4_mean = _mean(all_hops[AddressFamily.IPV4.value])
     v6_mean = _mean(all_hops[AddressFamily.IPV6.value])
     return {
@@ -544,9 +502,11 @@ def transition_matrix(repository: ColumnarRepository) -> dict:
         for site_id in sorted(latest):
             kind = latest[site_id]
             vantage_kinds[kind] += 1
-            speed = mean_speed(cdb, site_id, AddressFamily.IPV6)
-            if speed is not None:
-                speeds[kind].append(speed)
+            series = series_index(cdb).downloads.series(
+                site_id, AddressFamily.IPV6
+            )
+            if series is not None:
+                speeds[kind].append(series.mean_speed)
         n_sites = len(latest)
         per_vantage[name] = {
             "n_sites": n_sites,

@@ -51,6 +51,7 @@ WORK_COUNTERS = (
     "data.query.rows_scanned",
     "data.query.index_hits",
     "data.query.groups_emitted",
+    "data.series.builds",
     "data.columnar.encodes",
     "data.columnar.bin_encodes",
     "data.columnar.bin_decodes",
@@ -265,24 +266,56 @@ def end_to_end(seed: int, scale: float) -> WorkloadResult:
     )
 
 
+def _query_battery(cdb) -> tuple[int, int]:
+    """A frozen regression battery for the query core.
+
+    The dual-stack group-aggregate plus, per dual-stack site and family,
+    the four point lookups the analysis layer made before it read the
+    series index (``converged_speeds``, ``dest_asn``, ``modal_as_path``,
+    ``path_change_rounds``), issued through ``run_query`` with their old
+    filters.  No caller makes these lookups any more, and they are not
+    the ``/query`` mix ``data.loadtest`` models; the battery is kept so
+    the ``data.query.*`` counters stay comparable with earlier
+    baselines.  Returns (sites, queries).
+    """
+    from ..data.query import Aggregate, Filter, Query, run_query
+    from ..data.series import dual_stack_sites
+
+    run_query(cdb, Query(
+        table="downloads",
+        where=(Filter("converged", "eq", True),),
+        group_by=("site_id", "family"),
+        aggregates=(Aggregate(op="count", alias="rounds"),),
+    ))
+    sites = dual_stack_sites(cdb)
+    n_queries = 1
+    for site_id in sites:
+        for family in (AddressFamily.IPV4, AddressFamily.IPV6):
+            key = (
+                Filter("site_id", "eq", site_id),
+                Filter("family", "eq", family.value),
+            )
+            run_query(cdb, Query(
+                table="downloads",
+                where=(*key, Filter("converged", "eq", True)),
+                select=("mean_speed",),
+            ))
+            for select in (("dest_asn",), ("as_path",), ("round", "as_path")):
+                run_query(cdb, Query(table="paths", where=key, select=select))
+            n_queries += 4
+    return len(sites), n_queries
+
+
 def query(seed: int, scale: float) -> WorkloadResult:
     """The columnar query core over a full campaign's tables.
 
-    Runs the analysis layer's exact query battery — dual-stack
-    group-aggregate plus the per-site point lookups classification and
-    screening issue — against every vantage's columnar view.  The gate
-    counters are ``data.query.*``: scans, rows scanned, index hits, and
-    groups emitted are exact integers for a fixed (seed, scale), and the
-    index-hit fraction asserts the predicate pushdown stays wired in.
+    Runs the frozen query battery (:func:`_query_battery`) against
+    every vantage's columnar view.  The gate counters are ``data.query.*``:
+    scans, rows scanned, index hits, and groups emitted are exact
+    integers for a fixed (seed, scale), and the index-hit fraction
+    asserts the predicate pushdown stays wired in.
     """
     from ..data.columnar import columnar_view
-    from ..data.query import (
-        converged_speeds,
-        dest_asn,
-        dual_stack_sites,
-        modal_as_path,
-        path_change_rounds,
-    )
 
     obs.reset()
     obs.enable()
@@ -293,17 +326,9 @@ def query(seed: int, scale: float) -> WorkloadResult:
     n_queries = 0
     n_sites = 0
     for _, db in result.repository.items():
-        cdb = columnar_view(db)
-        sites = dual_stack_sites(cdb)
-        n_sites += len(sites)
-        n_queries += 1
-        for site_id in sites:
-            for family in (AddressFamily.IPV4, AddressFamily.IPV6):
-                converged_speeds(cdb, site_id, family)
-                dest_asn(cdb, site_id, family)
-                modal_as_path(cdb, site_id, family)
-                path_change_rounds(cdb, site_id, family)
-                n_queries += 4
+        sites, queries = _query_battery(columnar_view(db))
+        n_sites += sites
+        n_queries += queries
     wall = time.perf_counter() - t0
     counters = _snapshot_counters()
     scans = counters["data.query.scans"]
@@ -328,10 +353,11 @@ def observers(seed: int, scale: float) -> WorkloadResult:
     """The derived-metric observer panel over a full campaign.
 
     Runs every registered observer through the canonical runner and
-    snapshots the ``observers.*`` counters plus the ``data.query.*``
-    work the panel itself issued (deltas against a pre-panel snapshot,
-    so the campaign's own query work doesn't blur the gate ratios).
-    The report digests ride along in ``meta`` to pin bit-identity.
+    snapshots the ``observers.*`` counters plus the ``data.query.*`` and
+    ``data.series.builds`` work the panel itself issued (deltas against
+    a pre-panel snapshot, so the campaign's own work doesn't blur the
+    gate ratios).  The report digests ride along in ``meta`` to pin
+    bit-identity.
     """
     from ..data.columnar import ColumnarRepository
     from ..observers import run_panel
@@ -347,25 +373,30 @@ def observers(seed: int, scale: float) -> WorkloadResult:
     reports = run_panel(columnar)
     wall = time.perf_counter() - t0
     counters = _snapshot_counters()
+    moved = {name: counters[name] - before[name] for name in counters}
     n_reports = len(reports)
-    scans = counters["data.query.scans"] - before["data.query.scans"]
-    rows = (
-        counters["data.query.rows_scanned"] - before["data.query.rows_scanned"]
-    )
-    hits = counters["data.query.index_hits"] - before["data.query.index_hits"]
+    n_vantages = len(columnar.databases)
+    runs = n_reports * n_vantages
     return WorkloadResult(
         name="observers",
         wall_seconds=wall,
         counters=counters,
         spans=_span_totals("observers.run"),
         derived={
-            "scans_per_observer": scans / n_reports if n_reports else 0.0,
-            "rows_scanned_per_observer": rows / n_reports if n_reports else 0.0,
-            "index_hit_fraction": hits / scans if scans else 0.0,
+            "scans_per_vantage_observer": (
+                moved["data.query.scans"] / runs if runs else 0.0
+            ),
+            "series_builds": moved["data.series.builds"],
+            "rows_scanned_per_observer": (
+                moved["data.query.rows_scanned"] / n_reports
+                if n_reports
+                else 0.0
+            ),
             "reports_per_second": n_reports / wall if wall > 0 else 0.0,
         },
         meta={
             "n_reports": n_reports,
+            "n_vantages": n_vantages,
             "report_digests": {
                 name: reports[name].digest for name in sorted(reports)
             },
@@ -379,7 +410,7 @@ def dns64(seed: int, scale: float) -> WorkloadResult:
     Runs the campaign with DNS64 enabled — every v4-only site answers
     AAAA queries with a synthesized ``64:ff9b::/96`` address and is
     fetched through the translated forwarding path — then replays the
-    query battery over the transitions-bearing columnar views.  The
+    frozen query battery (:func:`_query_battery`) over the transitions-bearing columnar views.  The
     gates assert the axis actually engaged (nonzero synthesis counters,
     transitions recorded) and that the extra table leaves the query
     core's index-hit fraction at the plain-campaign floor.
@@ -387,13 +418,6 @@ def dns64(seed: int, scale: float) -> WorkloadResult:
     import dataclasses
 
     from ..data.columnar import columnar_view
-    from ..data.query import (
-        converged_speeds,
-        dest_asn,
-        dual_stack_sites,
-        modal_as_path,
-        path_change_rounds,
-    )
 
     obs.reset()
     obs.enable()
@@ -410,14 +434,7 @@ def dns64(seed: int, scale: float) -> WorkloadResult:
     for _, db in result.repository.items():
         n_transitions += len(db.transitions)
         n_translated += db.transition_counts().get("translated", 0)
-        cdb = columnar_view(db)
-        for site_id in dual_stack_sites(cdb):
-            for family in (AddressFamily.IPV4, AddressFamily.IPV6):
-                converged_speeds(cdb, site_id, family)
-                dest_asn(cdb, site_id, family)
-                modal_as_path(cdb, site_id, family)
-                path_change_rounds(cdb, site_id, family)
-                n_queries += 4
+        n_queries += _query_battery(columnar_view(db))[1]
     wall = time.perf_counter() - t0
     counters = _snapshot_counters()
     scans = counters["data.query.scans"]
@@ -458,7 +475,8 @@ def store_io(seed: int, scale: float) -> WorkloadResult:
     store entry.
 
     Saves one campaign into a throwaway :class:`CampaignStore`, then
-    times a fixed number of cold loads and the first query battery over
+    times a fixed number of cold loads and the first read of the
+    dual-stack population (whole-column filters, no series build) over
     the lazily decoded repository.  The structural gates are
     counter-exact: every load is served from ``columnar.bin`` and
     verifies its content digest.
@@ -489,7 +507,7 @@ def store_io(seed: int, scale: float) -> WorkloadResult:
             loaded = store.load_columnar_entry(digest)
             load_times.append(time.perf_counter() - t0)
             _, columnar = loaded
-        # first query battery over the last (still lazy) load
+        # first dual-stack read over the last (still lazy) load
         t0 = time.perf_counter()
         n_sites = sum(
             len(dual_stack_sites(cdb)) for cdb in columnar.databases.values()

@@ -1,15 +1,28 @@
-"""Query core: predicates, pushdown, group-aggregate, helper parity."""
+"""Query core: predicates, pushdown, group-aggregate; series-index parity."""
 
 from __future__ import annotations
+
+import dataclasses
+import gc
+import weakref
 
 import pytest
 
 from repro import obs
-from repro.data.columnar import columnar_view
-from repro.data.query import (
-    Aggregate,
-    Filter,
-    Query,
+from repro.analysis.metrics import site_mean_speed
+from repro.config import small_config
+from repro.core.campaign import run_campaign
+from repro.core.world import build_world
+from repro.data import query, series
+from repro.data.columnar import (
+    ColumnarDatabase,
+    ColumnarRepository,
+    columnar_view,
+    decode_columnar_binary,
+    encode_columnar_binary,
+)
+from repro.data.query import Aggregate, Filter, Query, run_query, scan
+from repro.data.series import (
     converged_speeds,
     dest_asn,
     download_rounds,
@@ -17,10 +30,10 @@ from repro.data.query import (
     mean_speed,
     modal_as_path,
     path_change_rounds,
-    run_query,
-    scan,
+    series_index,
 )
 from repro.errors import DataError
+from repro.faults import fault_preset
 from repro.net.addresses import AddressFamily
 
 from .test_columnar import populated_db
@@ -180,43 +193,213 @@ def test_query_from_dict_validates_untrusted_payloads():
         Query.from_dict({"table": "downloads", "where": ["site_id=1"]})
 
 
-# -- domain-helper parity ----------------------------------------------------
+# -- series index: helper parity with the row objects ------------------------
+
+
+def _all_series(index) -> tuple[dict, dict]:
+    """Every download and path series of ``index``, by (site, family)."""
+    downloads, paths = index.downloads, index.paths
+    return (
+        {
+            (site_id, family): downloads.series(site_id, family)
+            for family, spans in downloads.spans.items()
+            for site_id in spans
+        },
+        {
+            (site_id, family): series
+            for family, by_site in paths.by_family.items()
+            for site_id, series in by_site.items()
+        },
+    )
+
+
+def _assert_series_parity(db) -> None:
+    """Every (site, family) of ``db``: each helper equals its row-object
+    twin, and the index's groups equal what the rows say."""
+    cdb = columnar_view(db)
+    index = series_index(cdb)
+    sites = {site_id for site_id, _ in db.downloads} | {
+        site_id for site_id, _ in db.paths
+    }
+    for site_id in sorted(sites) + [max(sites, default=0) + 1]:
+        for family in (V4, V6):
+            assert converged_speeds(cdb, site_id, family) == db.speeds(
+                site_id, family
+            )
+            assert download_rounds(cdb, site_id, family) == db.download_rounds(
+                site_id, family
+            )
+            assert mean_speed(cdb, site_id, family) == site_mean_speed(
+                db, site_id, family
+            )
+            assert dest_asn(cdb, site_id, family) == db.dest_asn(site_id, family)
+            assert modal_as_path(cdb, site_id, family) == db.as_path(
+                site_id, family
+            )
+            assert path_change_rounds(
+                cdb, site_id, family
+            ) == db.path_change_rounds(site_id, family)
+    download_series, path_series = _all_series(index)
+    assert set(download_series) == {
+        key for key, rows in db.downloads.items() if any(r.converged for r in rows)
+    }
+    assert set(path_series) == {key for key, rows in db.paths.items() if rows}
+    assert dual_stack_sites(cdb) == db.dual_stack_sites()
+    path_families = {family: set() for family in (V4, V6)}
+    round_hops: dict = {}
+    for (site_id, family), rows in db.paths.items():
+        path_families[family].add(site_id)
+        for row in rows:
+            hops = round_hops.setdefault((row.round_idx, family), {})
+            length = len(row.as_path) - 1
+            hops[length] = hops.get(length, 0) + 1
+    assert index.paths.dual_stack_sites == sorted(
+        path_families[V4] & path_families[V6]
+    )
+    assert index.paths.round_hops == round_hops
+    # the per-round means equal the query core's group-aggregate
+    result = run_query(
+        cdb,
+        Query(
+            table="downloads",
+            where=(Filter("converged", "eq", True),),
+            group_by=("round", "family"),
+            aggregates=(Aggregate(op="mean", column="mean_speed"),),
+        ),
+    )
+    assert index.downloads.round_means == {
+        (round_idx, AddressFamily(family)): mean
+        for round_idx, family, mean in zip(
+            result.columns["round"],
+            result.columns["family"],
+            result.columns["mean_mean_speed"],
+        )
+    }
 
 
 def test_helpers_match_row_object_methods():
-    db = populated_db()
-    cdb = columnar_view(db)
-    for family in (V4, V6):
-        assert converged_speeds(cdb, 1, family) == db.speeds(1, family)
-        assert download_rounds(cdb, 1, family) == db.download_rounds(1, family)
-        assert dest_asn(cdb, 1, family) == db.dest_asn(1, family)
-        assert modal_as_path(cdb, 1, family) == db.as_path(1, family)
-        assert path_change_rounds(cdb, 1, family) == db.path_change_rounds(1, family)
-    assert dual_stack_sites(cdb) == db.dual_stack_sites()
-    # absent site
-    assert dest_asn(cdb, 99, V4) is None
-    assert modal_as_path(cdb, 99, V4) is None
-    assert mean_speed(cdb, 99, V4) is None
+    _assert_series_parity(populated_db(with_transitions=True))
 
 
 def test_helper_parity_on_campaign(small_campaign):
     for _, db in small_campaign.repository.items():
-        cdb = columnar_view(db)
-        assert dual_stack_sites(cdb) == db.dual_stack_sites()
-        for site_id in db.dual_stack_sites()[:10]:
-            for family in (V4, V6):
-                assert converged_speeds(cdb, site_id, family) == db.speeds(
-                    site_id, family
-                )
-                assert dest_asn(cdb, site_id, family) == db.dest_asn(
-                    site_id, family
-                )
-                assert modal_as_path(cdb, site_id, family) == db.as_path(
-                    site_id, family
-                )
-                assert path_change_rounds(
-                    cdb, site_id, family
-                ) == db.path_change_rounds(site_id, family)
+        _assert_series_parity(db)
+
+
+def test_helper_parity_on_heavy_dns64_campaign():
+    cfg = small_config(seed=11, scale=0.06)
+    cfg = dataclasses.replace(
+        cfg,
+        faults=fault_preset("heavy"),
+        dns64=dataclasses.replace(cfg.dns64, enabled=True),
+    )
+    campaign = run_campaign(build_world(cfg))
+    assert sum(len(db.faults) for _, db in campaign.repository.items())
+    assert sum(len(db.transitions) for _, db in campaign.repository.items())
+    for _, db in campaign.repository.items():
+        _assert_series_parity(db)
+
+
+def test_series_index_edge_cases():
+    from repro.monitor.database import (
+        DownloadObservation,
+        MeasurementDatabase,
+        PathObservation,
+    )
+
+    def download(site_id, round_idx, family, converged):
+        return DownloadObservation(
+            site_id=site_id, round_idx=round_idx, family=family, n_samples=3,
+            mean_speed=10.0 + round_idx, ci_half_width=0.5,
+            converged=converged, page_bytes=100, timestamp=float(round_idx),
+        )
+
+    db = MeasurementDatabase(vantage_name="T")
+    for round_idx in range(4):
+        # site 1: IPv4 never converges, IPv6 always does
+        db.add_download(download(1, round_idx, V4, converged=False))
+        db.add_download(download(1, round_idx, V6, converged=True))
+        # site 2: seen over IPv4 only
+        db.add_download(download(2, round_idx, V4, converged=True))
+        db.add_path(PathObservation(2, round_idx, V4, dest_asn=7, as_path=(5, 7)))
+    _assert_series_parity(db)
+    cdb = columnar_view(db)
+    assert converged_speeds(cdb, 1, V4) == [] and mean_speed(cdb, 1, V4) is None
+    assert series_index(cdb).downloads.series(1, V4) is None
+    assert download_rounds(cdb, 1, V6) == [0, 1, 2, 3]
+    assert dual_stack_sites(cdb) == []
+    assert dest_asn(cdb, 2, V4) == 7 and dest_asn(cdb, 2, V6) is None
+    assert series_index(cdb).paths.dual_stack_sites == []
+
+    empty = columnar_view(MeasurementDatabase(vantage_name="E"))
+    index = series_index(empty)
+    assert _all_series(index) == ({}, {})
+    assert index.downloads.round_means == {} and index.paths.round_hops == {}
+    assert dual_stack_sites(empty) == []
+    assert mean_speed(empty, 1, V4) is None and modal_as_path(empty, 1, V4) is None
+
+
+def test_series_index_rows_of_a_series_need_not_be_contiguous():
+    db = populated_db()
+    data = db.to_dict()
+    for table in ("downloads", "paths"):  # round order interleaves families
+        data[table] = sorted(data[table], key=lambda row: row[2])
+    interleaved = series_index(ColumnarDatabase.from_database(db, data))
+    grouped = series_index(columnar_view(db))
+    assert _all_series(interleaved) == _all_series(grouped)
+    assert interleaved.downloads.round_means == grouped.downloads.round_means
+    assert interleaved.paths.round_hops == grouped.paths.round_hops
+
+
+def test_series_index_builds_once_per_table():
+    builds = obs.get_registry().counter("data.series.builds")
+    cdb = columnar_view(populated_db())
+    before = builds.value
+    assert dual_stack_sites(cdb) == [1]
+    assert builds.value == before  # the population alone builds no series
+    for _ in range(3):
+        dual_stack_sites(cdb)
+        mean_speed(cdb, 1, V4)
+    assert builds.value - before == 1
+    for _ in range(3):
+        modal_as_path(cdb, 1, V4)
+        path_change_rounds(cdb, 1, V6)
+    assert builds.value - before == 2
+    assert series_index(cdb) is series_index(cdb)
+
+
+def test_query_module_reexports_the_per_site_helpers():
+    for name in (
+        "converged_speeds", "download_rounds", "mean_speed", "dest_asn",
+        "modal_as_path", "path_change_rounds", "dual_stack_sites",
+    ):
+        assert getattr(query, name) is getattr(series, name)
+
+
+def test_series_index_does_not_keep_its_database_alive():
+    """Reference counting alone frees a database and its index: a loaded
+    store entry's column buffers must not wait for the cyclic collector."""
+    cdb = ColumnarDatabase.from_database(populated_db())
+    dual_stack_sites(cdb)
+    modal_as_path(cdb, 1, V4)
+    ref = weakref.ref(cdb)
+    gc.disable()
+    try:
+        del cdb
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_series_index_over_decoded_binary_columns(small_campaign):
+    repository = ColumnarRepository.from_views(small_campaign.repository)
+    head, segments, _ = encode_columnar_binary(repository)
+    decoded = decode_columnar_binary(head + b"".join(bytes(s) for s in segments))
+    for name, cdb in repository.databases.items():
+        index, loaded = series_index(cdb), series_index(decoded.databases[name])
+        assert _all_series(loaded) == _all_series(index)
+        assert loaded.downloads.round_means == index.downloads.round_means
+        assert loaded.paths.round_hops == index.paths.round_hops
 
 
 def test_modal_path_tie_break_latest_wins():
@@ -225,4 +408,7 @@ def test_modal_path_tie_break_latest_wins():
     db = MeasurementDatabase(vantage_name="T")
     for round_idx, path in enumerate([(1, 2), (3, 4), (3, 4), (1, 2)]):
         db.add_path(PathObservation(1, round_idx, V4, dest_asn=9, as_path=path))
-    assert modal_as_path(columnar_view(db), 1, V4) == db.as_path(1, V4) == (1, 2)
+    _assert_series_parity(db)
+    cdb = columnar_view(db)
+    assert modal_as_path(cdb, 1, V4) == db.as_path(1, V4) == (1, 2)
+    assert path_change_rounds(cdb, 1, V4) == [1, 3]

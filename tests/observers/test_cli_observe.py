@@ -88,6 +88,29 @@ def test_observe_store_hit_reuses_the_entry_columns(tmp_path, capsys):
     assert hashlib.sha256(documents[1]).hexdigest() == OBSERVE_SEED11_SCALE01_SHA256
 
 
+#: sha256 of the ``observe --seed 11 --scale 0.06 --faults heavy
+#: --transition --json`` document: every observer body non-empty,
+#: ``failure_watch`` and ``transition_matrix`` included.
+OBSERVE_SEED11_HEAVY_TRANSITION_SHA256 = (
+    "49f537b319e3db603dc65caf78e9359558a40b6922ac404a9040e8e41b6b12cc"
+)
+
+
+def test_observe_faulted_transition_document_is_pinned(capsys):
+    assert main([
+        "observe", "--seed", "11", "--scale", "0.06", "--faults", "heavy",
+        "--transition", "--no-cache", "--json",
+    ]) == 0
+    document = capsys.readouterr().out.encode("utf-8")
+    reports = json.loads(document)["reports"]
+    assert reports["failure_watch"]["body"]["summary"]["n_faults"] > 0
+    assert reports["transition_matrix"]["body"]["summary"]["n_sites"] > 0
+    assert (
+        hashlib.sha256(document).hexdigest()
+        == OBSERVE_SEED11_HEAVY_TRANSITION_SHA256
+    )
+
+
 def test_observe_subset(capsys):
     assert main([
         "observe", "--seed", "11", "--no-cache", "--json",

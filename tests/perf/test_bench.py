@@ -117,16 +117,19 @@ class TestGates:
             + data["counters"]["download.loops_exhausted"]
             + data["counters"]["download.loops_gave_up"]
         )
-        # Simulate an observer re-scanning the campaign per site-round.
+        # Simulate an observer re-scanning the campaign per site-round
+        # with point lookups, each rebuilding its own series.
         data["derived"]["rows_scanned_per_observer"] = 100.0 * loops
-        data["derived"]["index_hit_fraction"] = 0.2
+        data["derived"]["scans_per_vantage_observer"] = 69.0
+        data["derived"]["series_builds"] += 1
         failed = {
             (g.workload, g.gate)
             for g in evaluate_gates(tampered)
             if not g.passed
         }
         assert ("observers", "rows_scanned_per_observer") in failed
-        assert ("observers", "index_hit_fraction") in failed
+        assert ("observers", "scans_per_vantage_observer") in failed
+        assert ("observers", "series_builds") in failed
 
     def test_gate_catches_observer_errors(self, report):
         tampered = copy.deepcopy(report)
