@@ -219,7 +219,12 @@ class LoadedCampaign:
         cdb = self.columnar_for(vantage)
         with self._db_lock:
             if vantage not in self._databases:
-                self._databases[vantage] = cdb.to_database()
+                # Memoise the loaded columns on the rebuilt database (as
+                # ColumnarRepository.to_repository does), so an analysis
+                # over it does not transpose the rows back again.
+                db = cdb.to_database()
+                db._columnar_cache = cdb
+                self._databases[vantage] = db
             return self._databases[vantage]
 
 

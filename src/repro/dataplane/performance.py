@@ -100,25 +100,6 @@ class ThroughputModel:
             speed *= self._faults.path_degradation(path.as_path, round_idx)
         return speed
 
-    def round_mean_speed_batch(
-        self,
-        server_speeds: list[float],
-        paths: list[ForwardingPath],
-        site_ids: list[int],
-        round_idx: int,
-    ) -> list[float]:
-        """Batched :meth:`round_mean_speed` over parallel arrays.
-
-        The batched execution plane opens a whole round's sessions at
-        once; this evaluates their latent means in one pass with the
-        scalar method's exact float expressions.
-        """
-        mean = self.round_mean_speed
-        return [
-            mean(speed, path, site_id, round_idx)
-            for speed, path, site_id in zip(server_speeds, paths, site_ids)
-        ]
-
     def sample_download_speed(
         self, round_mean: float, rng: random.Random
     ) -> float:

@@ -8,7 +8,7 @@ from .database import (
     PageCheck,
     PathObservation,
 )
-from .download import RepeatedDownloader
+from .download import probe_page, run_converging_loop
 from .scheduler import SlotScheduler
 from .tool import MonitoringTool, VantageEnvironment
 from .aggregate import CentralRepository
@@ -22,7 +22,8 @@ __all__ = [
     "MeasurementDatabase",
     "PageCheck",
     "PathObservation",
-    "RepeatedDownloader",
+    "probe_page",
+    "run_converging_loop",
     "SlotScheduler",
     "MonitoringTool",
     "VantageEnvironment",

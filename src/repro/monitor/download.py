@@ -1,66 +1,48 @@
-"""The repeated-download loop.
+"""The monitor's GETs: the identity probe and the repeated-download loop.
 
 From the paper (Section 3): "Downloads repeat until the measured average
 download time is within 10% of the mean with 95% confidence, at which
 point the page size and its average download time are recorded."  The
 loop resets (no caching effects) between downloads — in the simulation
 each GET is an independent sample by construction.
+
+Both phases sample a pinned :class:`~repro.web.http.DownloadSession`.
+In a faulty world every GET first asks the client's fault hook whether
+the attempt fails (a timeout or a reset costing the fault's seconds);
+failed attempts never draw from the shared RNG and never enter the speed
+statistics, and they are retried with exponential backoff (the k-th
+retry waits ``retry_initial_seconds * retry_backoff ** k`` simulated
+seconds) until ``max_retries`` consecutive failures give the GET up.
+Each successful GET draws exactly one Gaussian, so the shared stream
+advances by the same draws whatever the fault plan decides.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ..config import MonitorConfig
-from ..net.addresses import Address, AddressFamily
 from ..obs import metrics
-from ..stats.descriptive import RunningStats
-from ..stats.intervals import interval_from_stats, t_critical
-from ..web.http import DownloadResult, DownloadSession, HttpClient
+from ..stats.intervals import t_critical
+from ..web.http import DownloadSession, FaultHook
 
-#: download-loop metrics (module-cached: ``obs`` resets them in place).
-_DOWNLOADS = metrics.counter("download.samples")
+#: fault-path metrics (module-cached: ``obs`` resets them in place).
 _FAILED = metrics.counter("download.samples_failed")
-_CONVERGED = metrics.counter("download.loops_converged")
-_EXHAUSTED = metrics.counter("download.loops_exhausted")
 _GAVE_UP = metrics.counter("download.loops_gave_up")
-_LOOP_SAMPLES = metrics.histogram("download.samples_per_loop")
 
-
-@dataclass(frozen=True)
-class RepeatedDownloadOutcome:
-    """Statistics of one site-family's downloads within a round.
-
-    Failed attempts (injected timeouts/resets) never enter the speed
-    statistics; they are counted separately.  ``gave_up`` marks a loop
-    abandoned after ``max_retries`` consecutive failures — with zero
-    successes ``first_result`` is None and ``n_samples`` is 0.
-    """
-
-    n_samples: int
-    mean_speed: float
-    ci_half_width: float
-    converged: bool
-    page_bytes: int
-    total_seconds: float
-    first_result: DownloadResult | None
-    n_failed: int = 0
-    n_timeouts: int = 0
-    n_resets: int = 0
-    gave_up: bool = False
+#: the failure record of a GET or loop that never failed.
+NO_FAILURES: tuple[str, ...] = ()
 
 
 @lru_cache(maxsize=64)
 def _tcrit_table(confidence: float, max_n: int) -> tuple[float, ...]:
     """Student-t critical values indexed by sample count ``n`` (<= max_n).
 
-    Entry ``n`` equals ``t_critical(confidence, n - 1)`` — the same
-    (cached) float the scalar loop multiplies into its standard error —
-    hoisted into a tuple so the batched loop's per-sample convergence
-    check is an index, not a call.
+    Entry ``n`` equals ``t_critical(confidence, n - 1)``, hoisted into a
+    tuple so the loop's per-sample convergence check is an index, not a
+    call.
     """
     return (0.0, 0.0) + tuple(
         t_critical(confidence, n - 1) for n in range(2, max_n + 1)
@@ -69,25 +51,78 @@ def _tcrit_table(confidence: float, max_n: int) -> tuple[float, ...]:
 
 @lru_cache(maxsize=64)
 def _sqrt_table(max_n: int) -> tuple[float, ...]:
-    """``math.sqrt(n)`` for n <= max_n (``RunningStats.stderr``'s divisor)."""
+    """``math.sqrt(n)`` for n <= max_n (the standard error's divisor)."""
     return (0.0, 1.0) + tuple(math.sqrt(n) for n in range(2, max_n + 1))
 
 
+def backoff_seconds(config: MonitorConfig, attempt: int) -> float:
+    """Simulated wait before retry ``attempt`` (0-based, exponential)."""
+    return config.retry_initial_seconds * config.retry_backoff ** attempt
+
+
+def probe_page(
+    session: DownloadSession,
+    rng: random.Random,
+    config: MonitorConfig,
+    fault_hook: FaultHook | None = None,
+) -> tuple[float, tuple[str, ...]]:
+    """One identity-phase GET, retried on injected faults.
+
+    Returns ``(seconds, failures)``: the simulated seconds the GET and
+    its retries cost, and the fault kinds of the failed attempts in
+    attempt order, ending with ``"exhausted"`` when every attempt failed
+    (the probe then has no page to compare).  Attempt ``k`` asks the
+    hook under the key ``probe:{k}``.
+    """
+    seconds = 0.0
+    failures = NO_FAILURES
+    if fault_hook is not None:
+        endpoint = session.endpoint
+        failed: list[str] = []
+        for attempt in range(config.max_retries + 1):
+            fault = fault_hook(
+                endpoint.site_id, session.family, session.round_idx,
+                f"probe:{attempt}",
+            )
+            if fault is None:
+                break
+            seconds += fault.seconds
+            failed.append(fault.kind)
+            if attempt < config.max_retries:
+                seconds += backoff_seconds(config, attempt)
+        else:
+            failed.append("exhausted")
+            return seconds, tuple(failed)
+        failures = tuple(failed)
+    sigma = session._noise_sigma
+    if sigma > 0:
+        speed = session.round_mean * math.exp(rng.gauss(0.0, sigma))
+    else:
+        speed = session.round_mean
+    return seconds + session._page_kbytes / speed, failures
+
+
 def run_converging_loop(
-    session: DownloadSession, rng: random.Random, config: MonitorConfig
-) -> tuple[int, float, float, float, bool]:
-    """The fault-free Fig 2 loop on batched draws.
+    session: DownloadSession,
+    rng: random.Random,
+    config: MonitorConfig,
+    fault_hook: FaultHook | None = None,
+) -> tuple[int, float, float, float, bool, tuple[str, ...]]:
+    """The Fig 2 repeated-download loop over one session.
 
     Returns ``(n_samples, mean_speed, ci_half_width, total_seconds,
-    converged)``.  With no fault hook every GET succeeds, so the first
-    ``min_downloads`` Gaussians can be drawn as one block
-    (:meth:`ThroughputModel.sample_download_speed_batch`) and the Welford
-    update, convergence check, and per-sample seconds run inline — no
-    ``DownloadResult`` or ``ConfidenceInterval`` objects on the hot
-    path.  Every float expression mirrors :meth:`RepeatedDownloader.run`
-    (same accumulation order, same ``t * (sqrt(var) / sqrt(n))``
-    association, same ``half / |mean| <= target`` division), so the
-    statistics — and the shared RNG stream — are bit-identical.
+    converged, failures)``.  Speeds, not times, are accumulated: for a
+    fixed page size the two criteria are equivalent, and speed is what
+    the paper reports.  The Welford update and the convergence check
+    (``t * (sqrt(var) / sqrt(n))`` against ``half / |mean|``) run inline.
+
+    Without a fault hook every GET succeeds, so the first
+    ``min_downloads`` Gaussians are drawn as one block
+    (:meth:`ThroughputModel.sample_download_speed_batch`).  With one,
+    attempt ``k`` asks the hook under ``loop:{k}`` and each success draws
+    its own Gaussian; ``failures`` then lists every timeout, then every
+    reset, then ``"exhausted"`` if ``max_retries`` consecutive failures
+    abandoned the loop (with no success, ``n_samples`` is 0).
     """
     cfg = config
     round_mean = session.round_mean
@@ -107,23 +142,49 @@ def run_converging_loop(
     m2 = 0.0
     half = 0.0
     converged = False
-    speeds = session._client._model.sample_download_speed_batch(
-        round_mean, rng, min_n if min_n <= max_n else max_n
-    )
+    if fault_hook is None:
+        speeds = session._client._model.sample_download_speed_batch(
+            round_mean, rng, min_n if min_n <= max_n else max_n
+        )
+    else:
+        speeds = ()
+        site_id = session.endpoint.site_id
+        family = session.family
+        round_idx = session.round_idx
+        attempt = consecutive_failed = n_timeouts = n_resets = 0
+        gave_up = False
     while True:
-        for speed in speeds:
-            total_seconds += page_kbytes / speed
-            n += 1
-            delta = speed - mean
-            mean += delta / n
-            m2 += delta * (speed - mean)
-        if n >= min_n:
-            half = tcrit[n] * (sqrt(m2 / (n - 1)) / sqrt_n[n])
-            if mean != 0 and half / abs(mean) <= rel:
-                converged = True
+        if speeds:
+            for speed in speeds:
+                total_seconds += page_kbytes / speed
+                n += 1
+                delta = speed - mean
+                mean += delta / n
+                m2 += delta * (speed - mean)
+            if n >= min_n:
+                half = tcrit[n] * (sqrt(m2 / (n - 1)) / sqrt_n[n])
+                if mean != 0 and half / abs(mean) <= rel:
+                    converged = True
+                    break
+            if n >= max_n:
                 break
-        if n >= max_n:
-            break
+        if fault_hook is not None:
+            fault = fault_hook(site_id, family, round_idx, f"loop:{attempt}")
+            attempt += 1
+            if fault is not None:
+                total_seconds += fault.seconds
+                if fault.kind == "timeout":
+                    n_timeouts += 1
+                elif fault.kind == "reset":
+                    n_resets += 1
+                if consecutive_failed >= cfg.max_retries:
+                    gave_up = True
+                    break
+                total_seconds += backoff_seconds(cfg, consecutive_failed)
+                consecutive_failed += 1
+                speeds = ()
+                continue
+            consecutive_failed = 0
         speeds = (
             (round_mean * exp(gauss(0.0, sigma)),)
             if sigma > 0
@@ -131,107 +192,11 @@ def run_converging_loop(
         )
     if not converged and n >= 2:
         half = tcrit[n] * (sqrt(m2 / (n - 1)) / sqrt_n[n])
-    return n, mean, (half if n >= 2 else 0.0), total_seconds, converged
-
-
-class RepeatedDownloader:
-    """Runs the Fig 2 download loop for one (site, family, round)."""
-
-    def __init__(self, client: HttpClient, config: MonitorConfig) -> None:
-        config.validate()
-        self._client = client
-        self._config = config
-
-    def run(
-        self,
-        final_name: str,
-        address: Address,
-        family: AddressFamily,
-        round_idx: int,
-        rng: random.Random,
-        session: DownloadSession | None = None,
-    ) -> RepeatedDownloadOutcome:
-        """Download until the CI target is met (or max_downloads reached).
-
-        Speeds, not times, are accumulated: for a fixed page size the two
-        criteria are equivalent, and speed is what the paper reports.
-        Failed attempts are retried with exponential backoff (the k-th
-        retry waits ``retry_initial_seconds * retry_backoff ** k``
-        simulated seconds); ``max_retries`` consecutive failures abandon
-        the loop.
-
-        The loop's endpoint/path lookups happen once, at session open;
-        pass ``session`` (e.g. the one the identity probe already opened)
-        to skip even that, otherwise one is opened here.  May raise
-        :class:`UnreachableError` from the open, exactly where the first
-        per-sample GET used to raise it.
-        """
-        cfg = self._config
-        if session is None:
-            session = self._client.open(final_name, address, family, round_idx)
-        acc = RunningStats()
-        total_seconds = 0.0
-        first: DownloadResult | None = None
-        converged = False
-        gave_up = False
-        n_failed = n_timeouts = n_resets = 0
-        consecutive_failed = 0
-        attempt_idx = 0
-        # Per-attempt fault keys are only consulted by the fault hook;
-        # skip building ~200k of the strings per faults-off campaign.
-        keyed = session.has_fault_hook
-        while acc.n < cfg.max_downloads:
-            result = session.get(
-                rng, fault_key=f"loop:{attempt_idx}" if keyed else ""
-            )
-            attempt_idx += 1
-            total_seconds += result.seconds
-            if not result.ok:
-                n_failed += 1
-                if result.failure == "timeout":
-                    n_timeouts += 1
-                elif result.failure == "reset":
-                    n_resets += 1
-                if consecutive_failed >= cfg.max_retries:
-                    gave_up = True
-                    break
-                total_seconds += (
-                    cfg.retry_initial_seconds
-                    * cfg.retry_backoff ** consecutive_failed
-                )
-                consecutive_failed += 1
-                continue
-            consecutive_failed = 0
-            if first is None:
-                first = result
-            acc.add(result.speed_kbytes_per_sec)
-            if acc.n < cfg.min_downloads:
-                continue
-            interval = interval_from_stats(acc, cfg.confidence)
-            if interval.meets_target(cfg.ci_relative_width):
-                converged = True
-                break
-        _DOWNLOADS.inc(acc.n)
-        _FAILED.inc(n_failed)
-        _LOOP_SAMPLES.observe(acc.n)
-        (_CONVERGED if converged else _EXHAUSTED).inc()
+    failures = NO_FAILURES
+    if fault_hook is not None and (n_timeouts or n_resets or gave_up):
+        _FAILED.inc(n_timeouts + n_resets)
+        failures = ("timeout",) * n_timeouts + ("reset",) * n_resets
         if gave_up:
             _GAVE_UP.inc()
-        if not converged and acc.n >= 2:
-            # Report the final interval even when the target was missed.
-            interval = interval_from_stats(acc, cfg.confidence)
-        half_width = interval.half_width if acc.n >= 2 else 0.0
-        return RepeatedDownloadOutcome(
-            n_samples=acc.n,
-            # A loop abandoned before its first success has no mean.
-            mean_speed=acc.mean if acc.n else 0.0,
-            ci_half_width=half_width,
-            converged=converged,
-            page_bytes=first.page_bytes if first is not None else 0,
-            total_seconds=total_seconds,
-            first_result=first,
-            n_failed=n_failed,
-            n_timeouts=n_timeouts,
-            n_resets=n_resets,
-            gave_up=gave_up,
-        )
+            failures += ("exhausted",)
+    return n, mean, (half if n >= 2 else 0.0), total_seconds, converged, failures

@@ -1,15 +1,15 @@
-"""Web substrate: pages, origin servers, CDNs, and the simulated HTTP GET."""
+"""Web substrate: pages, origin servers, CDNs, and the simulated HTTP client."""
 
 from .page import WebPage
 from .server import OriginServer
 from .cdn import CDNProvider, CdnDeployment
-from .http import DownloadResult, HttpClient
+from .http import DownloadSession, HttpClient
 
 __all__ = [
     "WebPage",
     "OriginServer",
     "CDNProvider",
     "CdnDeployment",
-    "DownloadResult",
+    "DownloadSession",
     "HttpClient",
 ]

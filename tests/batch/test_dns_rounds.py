@@ -1,19 +1,22 @@
 """The DNS phase's per-round outcome, pinned as data.
 
-Two oracles for the round plan's DNS sweep:
+Two oracles for the round plan's DNS sweep, both recorded from the
+per-site walk that ran next to the batched plane until the two were
+merged (``REPRO_REGEN_GOLDEN=1`` rewrites them, for an intended change
+of the simulation only):
 
 * a golden fixture of one vantage's per-round dual-stack site ids and
   top-list tallies (queried, with A, with AAAA), faults off, with DNS64
-  off and on.  ``REPRO_REGEN_GOLDEN=1`` regenerates it with batching
-  forced off, so the fixture always comes from the per-site walk;
+  off and on;
 * a hand-built zone whose records change between rounds — an AAAA
   added then removed, a CNAME retargeted, a CNAME target gaining an
-  AAAA, a name appearing from NXDOMAIN — on which the batched plane
-  must write exactly the tables the per-site walk writes.
+  AAAA, a name appearing from NXDOMAIN — pinned as the sha256 of the
+  database's wire form plus the round reports, DNS64 off and on.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -34,9 +37,9 @@ from repro.net.addresses import IPv4Address, IPv6Address
 from repro.rng import RngStreams
 from repro.web.http import ContentEndpoint, HttpClient
 
-FIXTURE = (
-    pathlib.Path(__file__).parent.parent / "fixtures" / "golden_dns_rounds.json"
-)
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+FIXTURE = FIXTURES / "golden_dns_rounds.json"
+ZONE_FIXTURE = FIXTURES / "golden_zone_rounds.json"
 VANTAGE = "Penn"
 
 
@@ -67,13 +70,10 @@ class TestGoldenDnsRounds:
     def test_dns_rounds_match_golden(self, small_campaign, dns64_campaign):
         summary = _summary(small_campaign, dns64_campaign)
         if os.environ.get("REPRO_REGEN_GOLDEN"):
-            if os.environ.get("REPRO_BATCH") != "0":
-                pytest.skip("regenerate with REPRO_BATCH=0 (per-site walk)")
             FIXTURE.write_text(json.dumps(summary, sort_keys=True) + "\n")
             pytest.skip("golden fixture regenerated")
         assert FIXTURE.exists(), (
-            "missing golden fixture; regenerate with "
-            "REPRO_REGEN_GOLDEN=1 REPRO_BATCH=0"
+            "missing golden fixture; regenerate with REPRO_REGEN_GOLDEN=1"
         )
         assert summary == json.loads(FIXTURE.read_text())
 
@@ -207,17 +207,31 @@ def _run(dns64: bool) -> tuple[dict, list]:
     return tool.database.to_dict(), reports
 
 
+def _zone_digest(dns64: bool) -> str:
+    data, reports = _run(dns64)
+    blob = json.dumps(
+        {"database": data, "reports": reports},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("dns64", [False, True], ids=["dns64_off", "dns64_on"])
-def test_zone_changes_between_rounds_match_per_site_walk(monkeypatch, dns64):
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    scalar = _run(dns64)
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    batched = _run(dns64)
-    assert batched == scalar
+def test_zone_changes_between_rounds_match_per_site_walk(dns64):
+    key = "dns64_on" if dns64 else "dns64_off"
+    digest = _zone_digest(dns64)
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        golden = (
+            json.loads(ZONE_FIXTURE.read_text()) if ZONE_FIXTURE.exists() else {}
+        )
+        golden[key] = digest
+        ZONE_FIXTURE.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+        pytest.skip("golden fixture regenerated")
+    assert digest == json.loads(ZONE_FIXTURE.read_text())[key]
 
 
-def test_zone_changes_show_in_the_dns_table(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "1")
+def test_zone_changes_show_in_the_dns_table():
     data, _reports = _run(dns64=False)
     dual = {}
     for site_id, _name, round_idx, has_v4, has_v6, _listed in data["dns"]:

@@ -1,9 +1,8 @@
-"""Batched rounds report live phase-occupancy, not a frozen legacy value.
+"""Every round reports live phase widths, faulted or not.
 
-Under batching the old per-site schedule gauge would never move past the
-value the last scalar round left behind; the batched execute phase must
-instead publish per-phase batch widths and keep the slot-occupancy
-high-water mark alive.
+The execute phase publishes how many sites each phase carried (DNS,
+identity, download) and keeps the slot-occupancy high-water mark alive;
+faulted rounds run the same plane and publish the same gauges.
 """
 
 from __future__ import annotations
@@ -19,10 +18,7 @@ from repro.obs import metrics
 CFG = small_config(seed=7, scale=0.5)
 
 
-def test_batched_round_sets_phase_width_gauges(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    metrics.get_registry().reset()
-    run_campaign(build_world(CFG), n_rounds=2)
+def _assert_phase_widths() -> None:
     dns = metrics.gauge("monitor.batch.dns_width")
     identity = metrics.gauge("monitor.batch.identity_width")
     download = metrics.gauge("monitor.batch.download_width")
@@ -33,18 +29,19 @@ def test_batched_round_sets_phase_width_gauges(monkeypatch):
     assert occupancy.max_value >= 1
 
 
-def test_scalar_fallback_leaves_batch_gauges_untouched(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "0")
+def test_batched_round_sets_phase_width_gauges():
     metrics.get_registry().reset()
-    run_campaign(build_world(CFG), n_rounds=1)
-    assert metrics.gauge("monitor.batch.dns_width").value == 0.0
-    assert metrics.gauge("monitor.slot_occupancy").max_value >= 1
+    run_campaign(build_world(CFG), n_rounds=2)
+    _assert_phase_widths()
 
 
-def test_faulted_rounds_leave_batch_gauges_untouched(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "1")
+def test_faulted_rounds_set_phase_width_gauges():
     metrics.get_registry().reset()
     faulted = dataclasses.replace(CFG, faults=fault_preset("mild"))
-    run_campaign(build_world(faulted), n_rounds=1)
-    assert metrics.gauge("monitor.batch.dns_width").value == 0.0
-    assert metrics.gauge("monitor.slot_occupancy").max_value >= 1
+    result = run_campaign(build_world(faulted), n_rounds=1)
+    assert any(
+        report.n_failures
+        for reports in result.reports.values()
+        for report in reports
+    )
+    _assert_phase_widths()

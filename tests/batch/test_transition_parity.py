@@ -1,14 +1,15 @@
-"""Transition-enabled campaigns are backend- and plane-independent.
+"""Transition-enabled campaigns are pinned and backend-independent.
 
 The NAT64/DNS64 axis threads new rows (the transitions table), new DNS
 answers (synthesized AAAAs), and new forwarding paths (the translated
-leg) through both execution planes and both backends.  This module pins
-the combinations three ways:
+leg) through the round plane and both backends.  This module pins the
+combinations three ways:
 
-* a 10-seed golden fixture generated from the scalar reference path
-  (``REPRO_REGEN_GOLDEN=1`` regenerates with batching forced off) that
-  the batched plane must keep matching byte-for-byte,
-* a live batched-vs-scalar comparison on repository content digests, and
+* a 10-seed golden fixture, recorded from the per-site walk that ran
+  next to the batched plane until the two were merged, that every
+  campaign must keep matching byte-for-byte (``REPRO_REGEN_GOLDEN=1``
+  rewrites it, for an intended change of the simulation only),
+* per-seed checks of a subset against the same fixture, and
 * serial-vs-process byte parity of a full transition-enabled export
   tree (every CSV including ``transitions.csv``, plus the manifest).
 """
@@ -23,7 +24,6 @@ import pathlib
 
 import pytest
 
-from repro.batch import batching_enabled
 from repro.config import ExecutionConfig, small_config
 from repro.core.campaign import run_campaign
 from repro.core.world import build_world
@@ -85,41 +85,29 @@ def _run_sweep() -> dict[str, str]:
 
 
 class TestGoldenTransitionSweep:
-    def test_batched_sweep_matches_scalar_golden(self, monkeypatch):
+    def test_batched_sweep_matches_scalar_golden(self):
         if os.environ.get("REPRO_REGEN_GOLDEN"):
-            # Regenerate from the scalar reference path so the fixture
-            # always encodes pre-batching behaviour.
-            os.environ["REPRO_BATCH"] = "0"
-            try:
-                FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
-                FIXTURE.write_text(
-                    json.dumps(_run_sweep(), indent=2, sort_keys=True) + "\n"
-                )
-            finally:
-                os.environ.pop("REPRO_BATCH", None)
+            FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
+            FIXTURE.write_text(
+                json.dumps(_run_sweep(), indent=2, sort_keys=True) + "\n"
+            )
             pytest.skip("golden fixture regenerated")
         assert FIXTURE.exists(), (
             "missing golden fixture; regenerate with REPRO_REGEN_GOLDEN=1"
         )
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert batching_enabled(), "sweep must exercise the batched path"
         assert _run_sweep() == json.loads(FIXTURE.read_text())
 
 
 class TestLiveScalarParity:
-    """Direct batched-vs-scalar comparison, fixture-free, for a subset."""
+    """Single seeds against the recorded walk, one test each."""
 
     @pytest.mark.parametrize("seed", [100, 104, 109])
-    def test_transition_tables_identical(self, seed, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        batched = run_campaign(
+    def test_transition_tables_identical(self, seed):
+        result = run_campaign(
             build_world(_transition_config(seed)), n_rounds=SWEEP_ROUNDS
         )
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        scalar = run_campaign(
-            build_world(_transition_config(seed)), n_rounds=SWEEP_ROUNDS
-        )
-        assert _canonical_summary(batched) == _canonical_summary(scalar)
+        golden = json.loads(FIXTURE.read_text())
+        assert _digest(_canonical_summary(result)) == golden[str(seed)]
 
     def test_sweep_actually_translates(self):
         result = run_campaign(

@@ -141,6 +141,22 @@ def test_classify_endpoint_is_byte_identical(app, served_store, small_campaign):
     assert canonical_json(payload) == canonical_json(direct)
 
 
+def test_classify_on_a_loaded_entry_reuses_its_columns(served_store, small_campaign):
+    # The rebuilt row database memoises the columns it was decoded from,
+    # so the analysis does not transpose them a second time.
+    store, digest = served_store
+    fresh = ServeApp(store, ServeConfig(cache_root=str(store.root)))
+    vantage = sorted(small_campaign.repository.vantage_names)[0]
+    fresh.cache.get(digest)
+    encodes = metrics.counter("data.columnar.encodes")
+    before = encodes.value
+    status, _payload = fresh.handle(
+        "GET", f"/campaigns/{digest}/analysis/classify", {"vantage": vantage}
+    )
+    assert status == 200
+    assert encodes.value == before
+
+
 def test_structured_errors(app, served_store):
     _, digest = served_store
     status, payload = app.handle("GET", "/campaigns/deadbeef", {})

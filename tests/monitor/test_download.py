@@ -1,4 +1,4 @@
-"""The repeated-download loop's stopping rule."""
+"""The repeated-download loop's stopping rule and its fault handling."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.config import MonitorConfig, PerformanceConfig
 from repro.dataplane.path import ForwardingPath
 from repro.dataplane.performance import ThroughputModel
 from repro.faults.plan import ServerFault
-from repro.monitor.download import RepeatedDownloader
+from repro.monitor.download import probe_page, run_converging_loop
 from repro.net.addresses import AddressFamily, IPv4Address
 from repro.rng import RngStreams
 from repro.web.http import ContentEndpoint, HttpClient
@@ -18,11 +18,8 @@ from repro.web.http import ContentEndpoint, HttpClient
 V4 = AddressFamily.IPV4
 
 
-def make_downloader(
-    noise_sigma: float,
-    config: MonitorConfig | None = None,
-    fault_hook=None,
-):
+def open_session(noise_sigma: float):
+    """A hand-built session: an 80 kB/s server, 30 kB page, 1-hop path."""
     model = ThroughputModel(
         PerformanceConfig(
             measurement_noise_sigma=noise_sigma, round_noise_sigma=0.0
@@ -39,48 +36,56 @@ def make_downloader(
         ),
         path_provider=lambda *a: path,
         owner_lookup=lambda a: 2,
-        fault_hook=fault_hook,
     )
-    return RepeatedDownloader(client, config or MonitorConfig())
+    return client.open("s", IPv4Address(1), V4, 0)
+
+
+def run_loop(
+    noise_sigma: float,
+    config: MonitorConfig | None = None,
+    fault_hook=None,
+):
+    """One converging loop over a hand-built session; its result tuple."""
+    return run_converging_loop(
+        open_session(noise_sigma),
+        random.Random(2),
+        config or MonitorConfig(),
+        fault_hook,
+    )
 
 
 class TestStoppingRule:
     def test_low_noise_converges_at_min_downloads(self):
-        downloader = make_downloader(noise_sigma=0.01)
-        outcome = downloader.run("s", IPv4Address(1), V4, 0, random.Random(2))
-        assert outcome.converged
-        assert outcome.n_samples == MonitorConfig().min_downloads
+        n, _mean, _half, _seconds, converged, failures = run_loop(0.01)
+        assert converged
+        assert n == MonitorConfig().min_downloads
+        assert failures == ()
 
     def test_zero_noise_has_zero_width(self):
-        downloader = make_downloader(noise_sigma=0.0)
-        outcome = downloader.run("s", IPv4Address(1), V4, 0, random.Random(2))
-        assert outcome.converged
-        assert outcome.ci_half_width == 0.0
+        _n, _mean, half, _seconds, converged, _failures = run_loop(0.0)
+        assert converged
+        assert half == 0.0
 
     def test_moderate_noise_takes_more_samples(self):
-        downloader = make_downloader(noise_sigma=0.25)
-        outcome = downloader.run("s", IPv4Address(1), V4, 0, random.Random(2))
-        assert outcome.n_samples > MonitorConfig().min_downloads
+        n, *_rest = run_loop(0.25)
+        assert n > MonitorConfig().min_downloads
 
     def test_extreme_noise_hits_cap_unconverged(self):
-        config = MonitorConfig(max_downloads=8)
-        downloader = make_downloader(noise_sigma=1.2, config=config)
-        outcome = downloader.run("s", IPv4Address(1), V4, 0, random.Random(2))
-        assert outcome.n_samples == 8
-        assert not outcome.converged
+        n, _mean, _half, _seconds, converged, _failures = run_loop(
+            1.2, config=MonitorConfig(max_downloads=8)
+        )
+        assert n == 8
+        assert not converged
 
     def test_outcome_carries_page_and_timing(self):
-        downloader = make_downloader(noise_sigma=0.05)
-        outcome = downloader.run("s", IPv4Address(1), V4, 0, random.Random(2))
-        assert outcome.page_bytes == 30_000
-        assert outcome.total_seconds > 0
-        assert outcome.first_result.as_path == (1, 2)
+        n, mean, _half, seconds, _converged, _failures = run_loop(0.05)
+        # Every sample fetched the 30 kB page at roughly the mean speed.
+        assert seconds == pytest.approx(n * 30.0 / mean, rel=0.05)
 
     def test_mean_speed_near_latent_speed(self):
-        downloader = make_downloader(noise_sigma=0.05)
-        outcome = downloader.run("s", IPv4Address(1), V4, 0, random.Random(2))
+        _n, mean, *_rest = run_loop(0.05)
         # latent = 80 (server) since path factor is 1 for a 1-hop path.
-        assert outcome.mean_speed == pytest.approx(80.0, rel=0.1)
+        assert mean == pytest.approx(80.0, rel=0.1)
 
 
 class TestGiveUp:
@@ -88,20 +93,16 @@ class TestGiveUp:
 
     def test_all_failing_loop_gives_up_with_exact_timing(self):
         fault = ServerFault(kind="timeout", seconds=3.5)
-        downloader = make_downloader(
-            noise_sigma=0.0, fault_hook=lambda site, fam, r, key: fault
+        n, mean, half, seconds, converged, failures = run_loop(
+            0.0, fault_hook=lambda site, fam, r, key: fault
         )
-        outcome = downloader.run("s", IPv4Address(1), V4, 0, random.Random(2))
         cfg = MonitorConfig()
-        assert outcome.gave_up
-        assert not outcome.converged
-        assert outcome.n_samples == 0
-        assert outcome.first_result is None
-        assert outcome.page_bytes == 0
-        assert outcome.mean_speed == 0.0
-        assert outcome.n_failed == cfg.max_retries + 1
-        assert outcome.n_timeouts == cfg.max_retries + 1
-        assert outcome.n_resets == 0
+        assert not converged
+        assert n == 0
+        assert mean == 0.0
+        assert half == 0.0
+        # Every attempt timed out, then the loop gave up.
+        assert failures == ("timeout",) * (cfg.max_retries + 1) + ("exhausted",)
         # Every attempt burns the fault's seconds; backoff is charged
         # after each failure *except* the last one (the loop gives up
         # instead of waiting again).
@@ -109,19 +110,73 @@ class TestGiveUp:
             cfg.retry_initial_seconds * cfg.retry_backoff**k
             for k in range(cfg.max_retries)
         )
-        assert outcome.total_seconds == pytest.approx(expected)
+        assert seconds == pytest.approx(expected)
 
     def test_transient_fault_recovers_without_giving_up(self):
         fails = {"loop:0", "loop:1"}
-        downloader = make_downloader(
-            noise_sigma=0.0,
+        n, _mean, _half, _seconds, converged, failures = run_loop(
+            0.0,
             fault_hook=lambda site, fam, r, key: (
                 ServerFault(kind="reset", seconds=1.0) if key in fails else None
             ),
         )
-        outcome = downloader.run("s", IPv4Address(1), V4, 0, random.Random(2))
-        assert not outcome.gave_up
-        assert outcome.converged
-        assert outcome.n_failed == 2
-        assert outcome.n_resets == 2
-        assert outcome.n_samples == MonitorConfig().min_downloads
+        assert converged
+        assert failures == ("reset", "reset")
+        assert n == MonitorConfig().min_downloads
+
+    def test_failures_list_timeouts_then_resets(self):
+        kinds = {"loop:0": "reset", "loop:2": "timeout", "loop:4": "reset"}
+        *_stats, failures = run_loop(
+            0.0,
+            fault_hook=lambda site, fam, r, key: (
+                ServerFault(kind=kinds[key], seconds=1.0) if key in kinds else None
+            ),
+        )
+        assert failures == ("timeout", "reset", "reset")
+
+    def test_successes_draw_the_fault_free_stream(self):
+        # A failed attempt draws nothing: with faults sprinkled in, the
+        # loop's statistics match the fault-free loop's exactly.
+        clean = run_loop(0.25)
+        faulted = run_loop(
+            0.25,
+            fault_hook=lambda site, fam, r, key: (
+                ServerFault(kind="reset", seconds=0.0)
+                if key in ("loop:1", "loop:4")
+                else None
+            ),
+        )
+        assert faulted[:3] == clean[:3]
+        assert faulted[4] == clean[4]
+
+
+class TestProbe:
+    """The identity probe: one GET, retried on injected faults."""
+
+    def test_clean_probe_is_one_draw(self):
+        rng = random.Random(2)
+        seconds, failures = probe_page(open_session(0.05), rng, MonitorConfig())
+        assert failures == ()
+        # 30 kB at roughly the 80 kB/s latent speed.
+        assert seconds == pytest.approx(30.0 / 80.0, rel=0.2)
+        draws = random.Random(2)
+        draws.gauss(0.0, 0.05)
+        assert rng.random() == draws.random()
+
+    def test_exhausted_probe_charges_every_attempt(self):
+        fault = ServerFault(kind="reset", seconds=2.0)
+        rng = random.Random(2)
+        cfg = MonitorConfig()
+        seconds, failures = probe_page(
+            open_session(0.05), rng, cfg, lambda site, fam, r, key: fault
+        )
+        assert failures == ("reset",) * (cfg.max_retries + 1) + ("exhausted",)
+        assert seconds == pytest.approx(
+            (cfg.max_retries + 1) * fault.seconds
+            + sum(
+                cfg.retry_initial_seconds * cfg.retry_backoff**k
+                for k in range(cfg.max_retries)
+            )
+        )
+        # No attempt succeeded, so the shared stream is untouched.
+        assert rng.random() == random.Random(2).random()

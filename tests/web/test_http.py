@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.config import PerformanceConfig
@@ -42,15 +40,17 @@ def make_client(path=None):
 
 
 class TestGet:
+    """Opening a session pins what every GET of the page reads."""
+
     def test_successful_download(self):
         client, model = make_client()
-        result = client.get("site.example", IPv4Address(1), V4, 0, random.Random(1))
-        assert result.page_bytes == 50_000
-        assert result.as_path == (1, 2, 3)
-        assert result.server_asn == 3
-        assert result.speed_kbytes_per_sec > 0
-        assert result.seconds == pytest.approx(
-            model.download_seconds(50_000, result.speed_kbytes_per_sec)
+        session = client.open("site.example", IPv4Address(1), V4, 0)
+        assert session.endpoint.page_bytes == 50_000
+        assert session.path.as_path == (1, 2, 3)
+        assert session.endpoint.server_asn == 3
+        assert session.round_mean > 0
+        assert session.round_mean == model.round_mean_speed(
+            100.0, session.path, 7, 0
         )
 
     def test_speed_scales_with_path_factor(self):
@@ -66,9 +66,9 @@ class TestGet:
         )
         fast_client, _ = make_client(short)
         slow_client, _ = make_client(long)
-        fast = fast_client.get("s", IPv4Address(1), V4, 0, random.Random(1))
-        slow = slow_client.get("s", IPv4Address(1), V4, 0, random.Random(1))
-        assert fast.speed_kbytes_per_sec > slow.speed_kbytes_per_sec
+        fast = fast_client.open("s", IPv4Address(1), V4, 0)
+        slow = slow_client.open("s", IPv4Address(1), V4, 0)
+        assert fast.round_mean > slow.round_mean
 
     def test_unreachable_destination(self):
         client, _ = make_client()
@@ -79,14 +79,12 @@ class TestGet:
             owner_lookup=lambda address: 3,
         )
         with pytest.raises(UnreachableError):
-            client_unreachable.get(
-                "site.example", IPv4Address(1), V4, 0, random.Random(1)
-            )
+            client_unreachable.open("site.example", IPv4Address(1), V4, 0)
 
     def test_family_mismatch_rejected(self):
         client, _ = make_client()
         with pytest.raises(DownloadError):
-            client.get("site.example", IPv6Address(1), V4, 0, random.Random(1))
+            client.open("site.example", IPv6Address(1), V4, 0)
 
 
 class TestContentEndpoint:
