@@ -47,10 +47,6 @@ class SiteClassification:
     path_v4: tuple[int, ...]
     path_v6: tuple[int, ...]
 
-    @property
-    def same_location(self) -> bool:
-        return self.dest_v4 == self.dest_v6
-
 
 def classify_site(
     db: MeasurementDatabase, site_id: int

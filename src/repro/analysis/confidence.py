@@ -176,8 +176,3 @@ def screen_all(
 def kept_sites(screenings: dict[int, SiteScreening]) -> list[int]:
     """Site ids that passed the screening."""
     return sorted(sid for sid, s in screenings.items() if s.kept)
-
-
-def removed_sites(screenings: dict[int, SiteScreening]) -> list[int]:
-    """Site ids that failed the screening."""
-    return sorted(sid for sid, s in screenings.items() if not s.kept)

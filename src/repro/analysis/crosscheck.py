@@ -29,10 +29,6 @@ class CrossCheckResult:
     #: ASes with conflicting verdicts, for inspection.
     conflicts: tuple[int, ...]
 
-    @property
-    def all_positive(self) -> bool:
-        return self.checkable_ases > 0 and self.negative == 0
-
 
 def cross_check(
     per_vantage: dict[str, dict[int, ASEvaluation]],

@@ -50,12 +50,6 @@ class ASEvaluation:
     v6_speed: float
     zero_mode_site_ids: tuple[int, ...]
 
-    @property
-    def relative_difference(self) -> float:
-        if self.v4_speed == 0:
-            return 0.0
-        return (self.v6_speed - self.v4_speed) / self.v4_speed
-
 
 def evaluate_as(
     db: MeasurementDatabase,

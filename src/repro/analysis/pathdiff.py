@@ -53,13 +53,6 @@ class PathComparison:
         return min(n, min(len(self.path_v4), len(self.path_v6)))
 
     @property
-    def divergence_hop(self) -> int | None:
-        """Index of the first differing hop; None for identical paths."""
-        if self.identical:
-            return None
-        return self.common_prefix_length
-
-    @property
     def shared_fraction(self) -> float:
         """Jaccard similarity of the AS sets (structure-free overlap)."""
         a, b = set(self.path_v4), set(self.path_v6)
@@ -67,14 +60,6 @@ class PathComparison:
         if not union:
             return 1.0
         return len(a & b) / len(union)
-
-    def disjoint_middle(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The differing middles of the two paths (prefix/suffix stripped)."""
-        pre = self.common_prefix_length
-        suf = self.common_suffix_length
-        v4_mid = self.path_v4[pre: len(self.path_v4) - suf]
-        v6_mid = self.path_v6[pre: len(self.path_v6) - suf]
-        return v4_mid, v6_mid
 
 
 def compare_site_paths(
@@ -98,10 +83,6 @@ class DivergenceSummary:
     mean_shared_fraction: float
     #: histogram of length deltas, ``{delta: count}``.
     delta_histogram: dict[int, int]
-
-    @property
-    def identical_fraction(self) -> float:
-        return self.n_identical / self.n_sites if self.n_sites else 0.0
 
 
 def summarise_divergence(

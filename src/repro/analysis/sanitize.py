@@ -29,17 +29,6 @@ class FailureCauses:
     steps_from_path_changes: int
 
     @property
-    def total_removed(self) -> int:
-        return (
-            self.insufficient
-            + self.step_up
-            + self.step_down
-            + self.trend_up
-            + self.trend_down
-            + self.unstable
-        )
-
-    @property
     def total_steps(self) -> int:
         return self.step_up + self.step_down
 

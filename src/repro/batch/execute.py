@@ -351,7 +351,7 @@ class _RoundExecution:
         database.add_transitions(self.transition_rows)
         for row in self.fault_rows:
             database.add_fault(row)
-        self.tool._pair_resolver.flush_counters()
+        self.tool.env.resolver.flush_counters()
 
         n_sites = len(plan.sites)
         _SITES_MONITORED.inc(n_sites)

@@ -4,9 +4,9 @@ Within one monitoring round a site's fault-free A/AAAA answers, and the
 endpoints, forwarding paths and round-mean speeds its sessions pin, are
 pure functions of (site, round): none of it touches the vantage's shared
 RNG stream or the simulated clock.  :func:`build_round_plan` therefore
-files the whole batch up front with the
-:class:`~repro.batch.dnsplan.PairResolver` (re-resolving only the sites
-whose DNS changed), opens a dual-stack site's sessions with
+files the whole batch up front with the vantage's
+:class:`~repro.dns.resolver.Resolver` (re-resolving only the sites whose
+DNS changed), opens a dual-stack site's sessions with
 :meth:`~repro.web.http.HttpClient.open` (IPv6 only where IPv4 was
 reachable, as the monitor probes), and tallies the round's top-list
 queries.
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from ..errors import UnreachableError
 from ..net.addresses import AddressFamily
 from ..web.http import DownloadSession
-from .dnsplan import PairResolver
 
 
 @dataclass(slots=True)
@@ -68,16 +67,14 @@ def build_round_plan(
 ) -> RoundPlan:
     """Plan one round over ``order`` (the shuffled dispatch order)."""
     env = tool.env
-    pair_resolver: PairResolver | None = tool._pair_resolver
-    if pair_resolver is None:
-        pair_resolver = tool._pair_resolver = PairResolver(env.resolver)
-    pair_resolver.sync()
-    faulty = env.resolver.fault_check is not None
+    resolver = env.resolver
+    resolver.sync()
+    faulty = resolver.fault_check is not None
     open_session = env.client.open
     site_ids = tool._site_ids
     site_id_of = env.site_id_of
-    filed = pair_resolver.sites.get
-    resolve = pair_resolver.resolve
+    filed = resolver.sites.get
+    resolve = resolver.resolve
 
     sites: list[SitePlan | None] = []
     n_resolved = 0
@@ -110,16 +107,16 @@ def build_round_plan(
         else:
             site = SitePlan(
                 name, site_id, name in listed_now,
-                name not in pair_resolver.no_v4, name in pair_resolver.v6,
+                name not in resolver.no_v4, name in resolver.v6,
             )
         sites.append(site)
-    pair_resolver.account(len(order), n_resolved)
+    resolver.account(len(order), n_resolved)
     # Every dispatched site is filed now, so the top-list tallies are
     # set intersections rather than a per-site count.
     listed = listed_now.intersection(order)
     listed_counts = (
         len(listed),
-        len(listed) - len(listed & pair_resolver.no_v4),
-        len(listed & pair_resolver.v6),
+        len(listed) - len(listed & resolver.no_v4),
+        len(listed & resolver.v6),
     )
     return RoundPlan(round_idx=round_idx, sites=sites, listed_counts=listed_counts)

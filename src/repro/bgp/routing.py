@@ -60,15 +60,6 @@ class Route:
     def source(self) -> int:
         return self.path[0]
 
-    @property
-    def destination(self) -> int:
-        return self.path[-1]
-
-    @property
-    def hop_count(self) -> int:
-        """AS-path hop count (adjacent destination = 1 hop)."""
-        return len(self.path) - 1
-
     def __post_init__(self) -> None:
         if len(self.path) < 1:
             raise RoutingError("empty AS path")

@@ -76,10 +76,6 @@ class RoutingTable:
                 return entry
         return None
 
-    def as_path_to(self, address: Address) -> tuple[int, ...] | None:
-        entry = self.lookup(address)
-        return entry.as_path if entry is not None else None
-
     def __len__(self) -> int:
         return len(self.entries)
 

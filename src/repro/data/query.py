@@ -10,8 +10,8 @@ compare exactly.
 
 The per-site helpers (``converged_speeds``, ``mean_speed``,
 ``modal_as_path``, …) read the per-database series index and live in
-:mod:`repro.data.series`; they are re-exported here for callers that
-import them from this module.
+:mod:`repro.data.series`; ``dual_stack_sites`` is re-exported here for
+the benchmark pipeline, which imports it from this module.
 
 Execution is kernelized: predicates evaluate column-at-a-time over the
 raw typed storage (dictionary predicates evaluate once per distinct
@@ -29,15 +29,7 @@ from dataclasses import dataclass, field
 from ..errors import DataError
 from ..obs import metrics
 from .columnar import ColumnarDatabase, ColumnarTable, DictColumn
-from .series import (  # noqa: F401  (re-exported)
-    converged_speeds,
-    download_rounds,
-    dest_asn,
-    dual_stack_sites,
-    mean_speed,
-    modal_as_path,
-    path_change_rounds,
-)
+from .series import dual_stack_sites  # noqa: F401  (re-exported)
 
 #: deterministic work counters (snapshot by the ``query`` perf workload).
 _SCANS = metrics.counter("data.query.scans")

@@ -67,10 +67,6 @@ class ForwardingPath:
         )
 
     @property
-    def destination(self) -> int:
-        return self.as_path[-1]
-
-    @property
     def transition_kind(self) -> str:
         """How this path crosses the v6 Internet (the classifier's axis)."""
         if self.translated:

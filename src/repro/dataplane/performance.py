@@ -100,15 +100,6 @@ class ThroughputModel:
             speed *= self._faults.path_degradation(path.as_path, round_idx)
         return speed
 
-    def sample_download_speed(
-        self, round_mean: float, rng: random.Random
-    ) -> float:
-        """One download's measured speed around the round mean."""
-        sigma = self.config.measurement_noise_sigma
-        if sigma <= 0:
-            return round_mean
-        return round_mean * math.exp(rng.gauss(0.0, sigma))
-
     def sample_download_speed_batch(
         self, round_mean: float, rng: random.Random, n: int
     ) -> list[float]:

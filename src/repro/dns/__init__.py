@@ -1,4 +1,4 @@
-"""DNS substrate: records, authoritative zones, caching resolver."""
+"""DNS substrate: records, authoritative zones, the per-vantage resolver."""
 
 from .records import RecordType, ResourceRecord, RRSet
 from .zone import Zone, ZoneStore

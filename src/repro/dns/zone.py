@@ -152,7 +152,7 @@ class ZoneView:
         self._entries: dict[str, NameEntry] = {}
         self._watchers: list[set[str]] = []
         #: answers derived from this view's entries, shared by every
-        #: reader (see :class:`~repro.batch.dnsplan.PairResolver`).
+        #: reader (see :class:`~repro.dns.resolver.Resolver`).
         self.answers: dict = {}
 
     def watch(self) -> set[str]:
@@ -239,16 +239,6 @@ class ZoneStore:
                 zone._store = self
             view = self._view = ZoneView(self)
         return view
-
-    def authoritative_lookup(self, name: str, rtype: RecordType) -> RRSet:
-        """Find (name, type) in whichever zone holds the name."""
-        entry = self.view().entry(name)
-        if not entry.exists:
-            raise NxDomain(f"{name} does not exist in any zone")
-        rrset = entry.rrset(rtype)
-        if rrset is not None:
-            return rrset
-        return RRSet(name=name, rtype=rtype, records=())
 
     def __len__(self) -> int:
         return sum(len(zone) for zone in self.zones.values())

@@ -15,7 +15,8 @@ Layout (one directory per campaign)::
         reports.json       per-vantage RoundReport dicts
         world.pkl          pickled World (best effort; absent ok)
         observers/<name>.json   canonical ObserverReport artifacts
-    <root>/staging/        saves in progress (never listed as entries)
+    <root>/staging/        saves in progress (never listed as entries),
+                           each named ``<digest>.<pid>.<random>``
 
 ``columnar.bin`` is the only copy of the measurement data: every load
 decodes it (sha256-verified, lazily per table) and rebuilds row objects
@@ -27,7 +28,11 @@ rebuilt from the config and the stored measurement data is still used.
 
 Saves are atomic: an entry is written to a fresh directory under
 ``staging/``, fsynced, and published with one ``os.replace``, so a
-reader sees a complete entry or a miss, never half an entry.
+reader sees a complete entry or a miss, never half an entry.  A save
+killed before it publishes leaves its staging directory behind; the
+saving process's pid is part of the directory name, so ``repro cache
+prune`` reclaims it once that process is gone, and never touches a live
+concurrent save.
 """
 
 from __future__ import annotations
@@ -144,9 +149,6 @@ class CampaignStore:
     def entry_dir(self, digest: str) -> pathlib.Path:
         return self.root / "campaigns" / digest
 
-    def has(self, config: ScenarioConfig, kind: str = "weekly") -> bool:
-        return (self.entry_dir(config_digest(config, kind)) / "meta.json").exists()
-
     # -- enumerate -----------------------------------------------------------
 
     def entries(self) -> list[StoreEntry]:
@@ -179,7 +181,11 @@ class CampaignStore:
 
     def prune(self, keep_latest: int) -> list[StoreEntry]:
         """Delete all but the newest ``keep_latest`` entries; returns the
-        removed entries (``repro cache prune``)."""
+        removed entries (``repro cache prune``).
+
+        Staging directories whose saving process is gone (a save killed
+        before it published) are reclaimed too.
+        """
         if keep_latest < 0:
             raise ValueError(f"keep_latest must be >= 0, got {keep_latest}")
         doomed = self.entries()[keep_latest:]
@@ -189,7 +195,27 @@ class CampaignStore:
                 "pruned store entry",
                 extra={"digest": entry.digest[:12], "dir": str(entry.path)},
             )
+        self._reclaim_staging()
         return doomed
+
+    def _reclaim_staging(self) -> None:
+        """Remove staging (and ``.retired``) directories of dead saves.
+
+        A directory is reclaimed only when the pid in its name no longer
+        names a running process; one whose owner is alive, or whose name
+        carries no pid, is left alone.
+        """
+        staging_root = self.root / STAGING_DIR
+        if not staging_root.is_dir():
+            return
+        for path in sorted(staging_root.iterdir()):
+            parts = path.name.split(".")
+            if len(parts) < 3 or not parts[1].isdigit():
+                continue
+            if _pid_alive(int(parts[1])):
+                continue
+            shutil.rmtree(path, ignore_errors=True)
+            _LOG.info("reclaimed orphaned staging dir", extra={"dir": str(path)})
 
     # -- load --------------------------------------------------------------
 
@@ -387,7 +413,9 @@ class CampaignStore:
             staging_root = self.root / STAGING_DIR
             staging_root.mkdir(parents=True, exist_ok=True)
             staging = pathlib.Path(
-                tempfile.mkdtemp(prefix=f"{digest[:16]}.", dir=staging_root)
+                tempfile.mkdtemp(
+                    prefix=f"{digest[:16]}.{os.getpid()}.", dir=staging_root
+                )
             )
             try:
                 repository_digest = self._save_tables(staging, repository, digest)
@@ -493,6 +521,17 @@ class CampaignStore:
                 extra={"digest": digest[:12], "error": str(exc)},
             )
             path.unlink(missing_ok=True)
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` names a running process (signal 0 probes only)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    return True
 
 
 def _fsync(path: pathlib.Path) -> None:

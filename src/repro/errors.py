@@ -41,21 +41,6 @@ class NxDomain(DnsError):
     """The queried name does not exist in any authoritative zone."""
 
 
-class NoRecord(DnsError):
-    """The name exists but has no record of the requested type."""
-
-
-class DnsTimeout(DnsError):
-    """A lookup attempt timed out (injected by the fault plan).
-
-    ``seconds`` is the simulated wall-clock the timed-out attempt burned.
-    """
-
-    def __init__(self, message: str, seconds: float = 0.0) -> None:
-        super().__init__(message)
-        self.seconds = seconds
-
-
 class DownloadError(ReproError):
     """A simulated page download could not be performed."""
 

@@ -50,10 +50,6 @@ class Table:
         """Fetch one cell by row index and column name."""
         return self.rows[row_idx][list(self.columns).index(column)]
 
-    def column_values(self, column: str) -> list[object]:
-        idx = list(self.columns).index(column)
-        return [row[idx] for row in self.rows]
-
     def render(self) -> str:
         """Fixed-width text rendering, paper reference appended."""
         header = [str(c) for c in self.columns]

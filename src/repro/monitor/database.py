@@ -355,13 +355,6 @@ class MeasurementDatabase:
                 changes.append(cur.round_idx)
         return changes
 
-    def had_path_change(self, site_id: int) -> bool:
-        """Whether either family's path changed during the campaign."""
-        return any(
-            self.path_change_rounds(site_id, family)
-            for family in (AddressFamily.IPV4, AddressFamily.IPV6)
-        )
-
     # -- population queries ------------------------------------------------------
 
     def dual_stack_sites(self) -> list[int]:
@@ -403,15 +396,6 @@ class MeasurementDatabase:
                 crossed.update(row.as_path[1:])
         return crossed
 
-    def fault_counts(self, round_idx: int | None = None) -> dict[str, int]:
-        """Failure counts by kind, overall or for one round."""
-        counts: dict[str, int] = {}
-        for obs in self.faults:
-            if round_idx is not None and obs.round_idx != round_idx:
-                continue
-            counts[obs.kind] = counts.get(obs.kind, 0) + 1
-        return counts
-
     def transition_counts(self, round_idx: int | None = None) -> dict[str, int]:
         """IPv6 transition-kind counts, overall or for one round."""
         counts: dict[str, int] = {}
@@ -420,14 +404,6 @@ class MeasurementDatabase:
                 continue
             counts[obs.kind] = counts.get(obs.kind, 0) + 1
         return counts
-
-    def transition_kind_of(self, site_id: int) -> str | None:
-        """The latest observed transition kind of one site (or None)."""
-        latest: str | None = None
-        for obs in self.transitions:
-            if obs.site_id == site_id:
-                latest = obs.kind
-        return latest
 
     def __len__(self) -> int:
         return sum(len(rows) for rows in self.downloads.values())

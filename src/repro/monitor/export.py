@@ -17,7 +17,6 @@ import pathlib
 from typing import Iterable
 
 from ..errors import MonitorError
-from ..net.addresses import AddressFamily
 from .aggregate import CentralRepository
 from .database import MeasurementDatabase
 
@@ -195,35 +194,3 @@ def export_repository(
     manifest_path = directory / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     return manifest_path
-
-
-def load_downloads_csv(path: pathlib.Path) -> MeasurementDatabase:
-    """Rebuild a database's download table from an exported CSV.
-
-    Supports the round-trip validation tests and lets downstream users
-    re-ingest published data without this package's monitor.
-    """
-    from .database import DownloadObservation
-
-    db = MeasurementDatabase(vantage_name=path.parent.name or "imported")
-    with path.open(newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            family = (
-                AddressFamily.IPV4
-                if row["family"] == AddressFamily.IPV4.value
-                else AddressFamily.IPV6
-            )
-            db.add_download(
-                DownloadObservation(
-                    site_id=int(row["site_id"]),
-                    round_idx=int(row["round"]),
-                    family=family,
-                    n_samples=int(row["n_samples"]),
-                    mean_speed=float(row["mean_speed_kbps"]),
-                    ci_half_width=float(row["ci_half_width"]),
-                    converged=bool(int(row["converged"])),
-                    page_bytes=int(row["page_bytes"]),
-                    timestamp=float(row["timestamp"]),
-                )
-            )
-    return db

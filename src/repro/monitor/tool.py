@@ -123,8 +123,6 @@ class MonitoringTool:
         self._last_round: int | None = None
         #: name → site id memo (stable for the life of the world).
         self._site_ids: dict[str, int] = {}
-        #: lazy per-tool A+AAAA pair resolver (see repro.batch.dnsplan).
-        self._pair_resolver = None
 
     # -- public API -----------------------------------------------------------
 
@@ -154,11 +152,6 @@ class MonitoringTool:
         return run_batched_round(
             self, round_idx, order, listed_now, n_new, round_start
         )
-
-    @property
-    def monitored_sites(self) -> list[str]:
-        """All sites ever seen, in first-seen order."""
-        return list(self._monitored)
 
     # -- internals --------------------------------------------------------------
 

@@ -104,13 +104,6 @@ class PrefixAllocator:
     def has_prefix(self, asn: int, family: AddressFamily) -> bool:
         return (asn, family) in self._by_asn
 
-    def owner_of(self, prefix: Prefix) -> int:
-        """The AS that holds ``prefix``."""
-        asn = self._by_prefix.get(prefix)
-        if asn is None:
-            raise AllocationError(f"unallocated prefix {prefix}")
-        return asn
-
     def owner_of_address(self, address) -> int:
         """The AS whose block contains ``address``.
 

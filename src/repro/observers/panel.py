@@ -18,7 +18,8 @@ each vantage's :mod:`~repro.data.series` index — its ``downloads`` and
 ``paths`` tables grouped once into (site, family) series and per-round
 groups, shared by the whole panel and by the analysis — instead of
 issuing point lookups; the others read whole tables through
-:func:`~repro.data.query.run_query`.
+:func:`~repro.data.query.scan` or, like ``failure_watch``, one pass over
+a table's decoded columns.
 
 Every body follows the same convention: ``summary`` (headline scalars),
 ``per_vantage`` (the breakdown), and ``series`` (per-round trajectories
@@ -32,13 +33,8 @@ from __future__ import annotations
 
 from ..analysis.hopcount import BUCKETS, bucket_of
 from ..data.columnar import ColumnarRepository
-from ..data.query import (
-    Aggregate,
-    Query,
-    gather,
-    run_query,
-    scan,
-)
+from ..data.query import gather, scan
+from ..data.query import run_query  # noqa: F401  (a perfbench timer target)
 from ..data.series import series_index
 from ..monitor.database import TRANSITION_KINDS
 from ..net.addresses import AddressFamily
@@ -330,37 +326,23 @@ def failure_watch(repository: ColumnarRepository) -> dict:
     for name, _, cdb in _sorted_vantages(repository):
         faults = cdb.table("faults")
         downloads = cdb.table("downloads")
-        kinds = run_query(
-            cdb,
-            Query(
-                table="faults",
-                group_by=("kind",),
-                aggregates=(Aggregate(op="count", alias="n"),),
-            ),
-        )
-        vantage_kinds = dict(
-            sorted(zip(kinds.columns["kind"], kinds.columns["n"]))
-        )
-        families = run_query(
-            cdb,
-            Query(
-                table="faults",
-                group_by=("family",),
-                aggregates=(Aggregate(op="count", alias="n"),),
-            ),
-        )
-        vantage_families = dict(
-            sorted(zip(families.columns["family"], families.columns["n"]))
-        )
-        rounds = run_query(
-            cdb,
-            Query(
-                table="faults",
-                group_by=("round",),
-                aggregates=(Aggregate(op="count", alias="n"),),
-            ),
-        )
-        for r, n in zip(rounds.columns["round"], rounds.columns["n"]):
+        # One pass over the faults table tallies kind, family and round
+        # together; counts are ints, as a ``count`` aggregate emits them.
+        rows = range(faults.n_rows)
+        vantage_kinds: dict[str, int] = {}
+        vantage_families: dict[str, int] = {}
+        vantage_rounds: dict[int, int] = {}
+        for kind, family, r in zip(
+            faults.column("kind").take(rows),
+            faults.column("family").take(rows),
+            faults.column("round").take(rows),
+        ):
+            vantage_kinds[kind] = vantage_kinds.get(kind, 0) + 1
+            vantage_families[family] = vantage_families.get(family, 0) + 1
+            vantage_rounds[r] = vantage_rounds.get(r, 0) + 1
+        vantage_kinds = dict(sorted(vantage_kinds.items()))
+        vantage_families = dict(sorted(vantage_families.items()))
+        for r, n in vantage_rounds.items():
             faults_by_round[r] = faults_by_round.get(r, 0.0) + n
         per_vantage[name] = {
             "n_faults": faults.n_rows,

@@ -33,7 +33,6 @@ WORK_COUNTERS = (
     "dns.cache_hits",
     "dns.cache_misses",
     "dns.dns64.synthesized",
-    "dns.dns64.no_mapping",
     "faults.nat64_outages",
     "web.endpoint_lookups",
     "web.path_lookups",
@@ -167,9 +166,10 @@ def round_loop(seed: int, scale: float) -> WorkloadResult:
 def dns_phase(seed: int, scale: float) -> WorkloadResult:
     """The DNS phase alone: every site resolved for both families.
 
-    Positions a DNS timeline cursor at the final round, then issues the
-    monitor's A + AAAA query pair for every catalog site — the workload
-    that exposes authoritative-walk and cache-accounting regressions.
+    Positions a DNS timeline cursor at the final round, then files every
+    catalog site through :meth:`~repro.dns.resolver.Resolver.resolve`,
+    the A + AAAA pair the round plan resolves — the workload that
+    exposes authoritative-walk and cache-accounting regressions.
     """
     obs.reset()
     obs.enable()
@@ -180,11 +180,14 @@ def dns_phase(seed: int, scale: float) -> WorkloadResult:
     env = world.environment_for(
         world.vantages[0], zones=world.dns_cursor(final_round)
     )
-    now = world.clock.time_of_round(final_round)
-    n_queries = 0
-    for site in world.catalog.sites:
-        env.resolver.query_both(site.name, now)
-        n_queries += 2
+    resolver = env.resolver
+    resolver.sync()
+    sites = world.catalog.sites
+    for site in sites:
+        resolver.resolve(site.name)
+    resolver.account(len(sites), len(sites))
+    resolver.flush_counters()
+    n_queries = 2 * len(sites)
     wall = time.perf_counter() - t0
     counters = _snapshot_counters()
     walks = counters["dns.zone_walks"]
@@ -484,7 +487,7 @@ def store_io(seed: int, scale: float) -> WorkloadResult:
     import pathlib
     import tempfile
 
-    from ..data.query import dual_stack_sites
+    from ..data.series import dual_stack_sites
     from ..engine.store import CampaignStore, config_digest
 
     obs.reset()

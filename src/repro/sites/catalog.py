@@ -51,11 +51,6 @@ class Site:
     #: (most participants famously turned IPv6 off again afterwards).
     w6d_event_round: int | None = None
 
-    @property
-    def static_rank(self) -> int:
-        """Popularity rank in the site universe (1 = most popular)."""
-        return self.site_id + 1
-
     def v6_accessible_at(self, round_idx: int) -> bool:
         if self.adoption_round is not None and round_idx >= self.adoption_round:
             return True
@@ -63,12 +58,10 @@ class Site:
 
     def dest_asn(self, family: AddressFamily) -> int:
         """The AS a client of ``family`` is served from."""
-        if family is AddressFamily.IPV4:
-            if self.cdn is not None:
-                return self.cdn.provider.asn
-            return self.origin_asn
-        if self.cdn is not None and self.cdn.provider.dual_stack:
+        if self.cdn is not None and self.cdn.provider.serves(family):
             return self.cdn.provider.asn
+        if family is AddressFamily.IPV4:
+            return self.origin_asn
         return self.v6_origin_asn
 
     def final_name(self, family: AddressFamily) -> str:

@@ -63,25 +63,3 @@ class SiteRanking:
         while len(self._lists) <= round_idx:
             self._advance()
         return list(self._lists[round_idx])
-
-    def rank_of(self, site_id: int, round_idx: int) -> int | None:
-        """1-based rank of a site in a round's list, or None if absent."""
-        current = self.list_at_round(round_idx)
-        try:
-            return current.index(site_id) + 1
-        except ValueError:
-            return None
-
-    def first_appearance(self, site_id: int, max_round: int) -> int | None:
-        """The first round (<= max_round) the site appears on the list."""
-        for round_idx in range(max_round + 1):
-            if site_id in set(self.list_at_round(round_idx)):
-                return round_idx
-        return None
-
-    def ever_listed(self, max_round: int) -> set[int]:
-        """All site ids that appear on any list up to ``max_round``."""
-        seen: set[int] = set()
-        for round_idx in range(max_round + 1):
-            seen.update(self.list_at_round(round_idx))
-        return seen

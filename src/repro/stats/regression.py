@@ -44,9 +44,6 @@ class LinearFit:
     p_value: float
     stderr: float
 
-    def predict(self, x: float) -> float:
-        return self.intercept + self.slope * x
-
 
 def linear_regression(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     """OLS fit; requires at least three points and matching lengths."""

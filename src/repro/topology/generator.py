@@ -126,38 +126,6 @@ class Topology:
         first = next(iter(self.ases))
         return len(self.undirected_hop_distance(first)) == len(self.ases)
 
-    def provider_depth(self, asn: int) -> int:
-        """Length of the shortest provider chain from ``asn`` to a tier-1."""
-        if self.ases[asn].type is ASType.TIER1:
-            return 0
-        depth = 0
-        frontier = {asn}
-        seen = set(frontier)
-        while frontier:
-            depth += 1
-            nxt: set[int] = set()
-            for a in frontier:
-                for p in self.providers_of(a):
-                    if p in seen:
-                        continue
-                    if self.ases[p].type is ASType.TIER1:
-                        return depth
-                    seen.add(p)
-                    nxt.add(p)
-            frontier = nxt
-        raise TopologyError(f"AS{asn} has no provider chain to a tier-1")
-
-    def to_networkx(self):
-        """Export to a :mod:`networkx` graph (relationship on edges)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for asn, asys in self.ases.items():
-            graph.add_node(asn, type=asys.type.value, region=asys.region)
-        for link in self.links:
-            graph.add_edge(link.a, link.b, relationship=link.relationship.value)
-        return graph
-
 
 def _sample_count(rng: random.Random, mean: float, lo: int, hi: int) -> int:
     """A small integer around ``mean``, clamped to ``[lo, hi]``."""

@@ -21,7 +21,7 @@ class TestClassifySite:
         add_dual_series(db, 1, [50.0] * 3, [49.0] * 3, v4_path=(1, 2, 3))
         c = classify_site(db, 1)
         assert c.category is SiteCategory.SP
-        assert c.same_location
+        assert c.dest_v4 == c.dest_v6
 
     def test_dp_site(self, db):
         add_dual_series(
@@ -29,7 +29,7 @@ class TestClassifySite:
         )
         c = classify_site(db, 1)
         assert c.category is SiteCategory.DP
-        assert c.same_location
+        assert c.dest_v4 == c.dest_v6
 
     def test_dl_site(self, db):
         add_dual_series(
@@ -37,7 +37,7 @@ class TestClassifySite:
         )
         c = classify_site(db, 1)
         assert c.category is SiteCategory.DL
-        assert not c.same_location
+        assert c.dest_v4 != c.dest_v6
 
     def test_no_paths_is_none(self, db):
         assert classify_site(db, 99) is None

@@ -28,7 +28,6 @@ class TestCrossCheck:
         assert result.checkable_ases == 1
         assert result.positive == 1
         assert result.negative == 0
-        assert result.all_positive
 
     def test_disagreement_is_negative(self):
         result = cross_check(
@@ -39,7 +38,6 @@ class TestCrossCheck:
         )
         assert result.negative == 1
         assert result.conflicts == (3,)
-        assert not result.all_positive
 
     def test_single_vantage_as_not_checkable(self):
         result = cross_check(
@@ -49,7 +47,7 @@ class TestCrossCheck:
             }
         )
         assert result.checkable_ases == 0
-        assert not result.all_positive  # nothing to check
+        assert result.positive == result.negative == 0  # nothing to check
 
     def test_three_vantages_mixed(self):
         result = cross_check(

@@ -18,7 +18,6 @@ class TestPathComparison:
         c = PathComparison(path_v4=(1, 2, 3), path_v6=(1, 2, 3))
         assert c.identical
         assert c.length_delta == 0
-        assert c.divergence_hop is None
         assert c.shared_fraction == 1.0
 
     def test_fork_in_the_middle(self):
@@ -26,8 +25,6 @@ class TestPathComparison:
         assert not c.identical
         assert c.common_prefix_length == 1
         assert c.common_suffix_length == 1
-        assert c.divergence_hop == 1
-        assert c.disjoint_middle() == ((2, 3), (4, 5))
 
     def test_length_delta_signs(self):
         longer = PathComparison(path_v4=(1, 2, 9), path_v6=(1, 3, 4, 9))
@@ -67,11 +64,10 @@ class TestSummariseDivergence:
         summary = summarise_divergence(db, [1, 2])
         assert summary.n_sites == 2
         assert summary.n_identical == 1
-        assert summary.identical_fraction == pytest.approx(0.5)
         assert summary.mean_length_delta == pytest.approx(0.5)
         assert summary.delta_histogram == {0: 1, 1: 1}
 
     def test_empty(self, db):
         summary = summarise_divergence(db, [])
         assert summary.n_sites == 0
-        assert summary.identical_fraction == 0.0
+        assert summary.n_identical == 0

@@ -34,11 +34,10 @@ class TestCategoriseFailures:
         assert causes.trend_up == 1
         assert causes.trend_down == 1
         assert causes.unstable == 1
-        assert causes.total_removed == 6
         assert causes.total_steps == 2
         assert causes.steps_from_path_changes == 1
 
     def test_all_kept(self):
         causes = categorise_failures("V", {1: screening(1), 2: screening(2)})
-        assert causes.total_removed == 0
+        assert causes.insufficient == causes.unstable == 0
         assert causes.total_steps == 0

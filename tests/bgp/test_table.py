@@ -56,7 +56,6 @@ class TestRoutingTable:
 
     def test_miss_returns_none(self, table):
         assert table.lookup(IPv4Address.parse("99.0.0.1")) is None
-        assert table.as_path_to(IPv4Address.parse("99.0.0.1")) is None
 
     def test_family_mismatch_rejected(self, table):
         from repro.net.addresses import IPv6Address

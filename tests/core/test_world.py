@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.world import VANTAGE_TEMPLATES, build_world
 from repro.dns.records import RecordType
-from repro.errors import NoRecord
+from repro.dns.resolver import SINGLE_STACK
 from repro.net.addresses import AddressFamily
 from repro.net.tunnels import TunnelKind
 
@@ -69,11 +69,12 @@ class TestZoneLifecycle:
         )
         cursor = world.dns_cursor(site.adoption_round - 1)
         env = world.environment_for(world.vantages[0], zones=cursor)
-        with pytest.raises(NoRecord):
-            env.resolver.resolve(site.name, V6)
+        env.resolver.sync()
+        assert env.resolver.resolve(site.name) is SINGLE_STACK
         cursor.advance_to(site.adoption_round)
-        env.resolver.flush()
-        assert env.resolver.resolve(site.name, V6)
+        env.resolver.sync()
+        _, res6 = env.resolver.resolve(site.name)
+        assert res6.addresses
 
     def test_event_only_participant_aaaa_is_transient(self, small_cfg):
         world = build_world(small_cfg)

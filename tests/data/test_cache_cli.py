@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.engine import W6D, WEEKLY
-from repro.engine.store import CampaignStore, config_digest
+from repro.engine.store import STAGING_DIR, CampaignStore, config_digest
 
 from ..engine.test_store import tiny_campaign
 
@@ -63,6 +65,41 @@ def test_prune_keeps_newest(seeded_store):
     remaining = seeded_store.entries()
     assert [e.kind for e in remaining] == [W6D]
     assert not removed[0].path.exists()
+
+
+def test_prune_reclaims_staging_of_dead_saves(tmp_path):
+    """A save killed before publishing leaves a staging directory; prune
+    removes it once its owner pid is gone and keeps a live save's."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    staging = tmp_path / STAGING_DIR
+    dead = staging / f"0123456789abcdef.{child.pid}.x1y2z3"
+    retired = staging / f"0123456789abcdef.{child.pid}.a1b2c3.retired"
+    live = staging / f"0123456789abcdef.{os.getpid()}.q7r8s9"
+    unowned = staging / "0123456789abcdef.nopid"
+    for directory in (dead, retired, live, unowned):
+        directory.mkdir(parents=True)
+        (directory / "columnar.bin").write_bytes(b"partial")
+    CampaignStore(tmp_path).prune(keep_latest=0)
+    assert not dead.exists()
+    assert not retired.exists()
+    assert live.is_dir()
+    assert unowned.is_dir()
+
+
+def test_save_names_its_staging_dir_after_its_pid(tmp_path, small_cfg):
+    store = CampaignStore(tmp_path)
+    repository, reports = tiny_campaign()
+    seen = []
+    publish = CampaignStore._publish
+
+    def spy(staging, entry):
+        seen.append(staging.name)
+        publish(staging, entry)
+
+    store._publish = spy
+    store.save(small_cfg, repository, reports)
+    assert seen and seen[0].split(".")[1] == str(os.getpid())
 
 
 def test_prune_rejects_negative():

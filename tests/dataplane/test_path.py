@@ -53,7 +53,7 @@ class TestHopAccounting:
         assert path.total_quality == pytest.approx(0.8)
 
     def test_destination(self):
-        assert plain_path(2).destination == 3
+        assert plain_path(2).as_path[-1] == 3
 
 
 class TestFromAsPath:

@@ -95,7 +95,7 @@ class TestSampling:
 
     def test_download_noise_is_unbiased(self, model):
         rng = random.Random(4)
-        samples = [model.sample_download_speed(50.0, rng) for _ in range(4000)]
+        samples = model.sample_download_speed_batch(50.0, rng, 4000)
         # Lognormal with small sigma: mean within ~2% of the round mean.
         assert statistics.mean(samples) == pytest.approx(50.0, rel=0.02)
 

@@ -1,17 +1,20 @@
-"""Caching resolver: positive/negative caching, CNAME chains, query_both."""
+"""The resolver: per-site A+AAAA pairs, CNAME chains, invalidation, DNS64."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.dns.records import RecordType, ResourceRecord
-from repro.dns.resolver import NEGATIVE_TTL, Resolver
+from repro.dns.resolver import SINGLE_STACK, Resolver
 from repro.dns.zone import ZoneStore
-from repro.errors import DnsError, NoRecord, NxDomain
-from repro.net.addresses import AddressFamily, IPv4Address, IPv6Address
+from repro.errors import DnsError
+from repro.net.addresses import IPv4Address, IPv6Address
+from repro.net.nat64 import is_nat64_mapped, synthesize_aaaa
+from repro.obs import metrics
 
-V4 = AddressFamily.IPV4
-V6 = AddressFamily.IPV6
+
+def _walks() -> float:
+    return metrics.counter("dns.zone_walks").value
 
 
 @pytest.fixture()
@@ -32,169 +35,161 @@ def resolver(store) -> Resolver:
     return Resolver(store=store)
 
 
+def _cdn_store(*names: str) -> ZoneStore:
+    """A dual-stack CDN edge and customer names CNAMEd onto it."""
+    store = ZoneStore()
+    zone = store.zone_for("example.")
+    zone.add(ResourceRecord("edge.cdn.example.", RecordType.A, IPv4Address(7)))
+    zone.add(ResourceRecord("edge.cdn.example.", RecordType.AAAA, IPv6Address(7)))
+    for name in names:
+        zone.add(ResourceRecord(name, RecordType.CNAME, "edge.cdn.example."))
+    return store
+
+
 class TestResolve:
     def test_resolves_address(self, resolver):
-        result = resolver.resolve("dual.example.", V4)
-        assert result.addresses == (IPv4Address(1),)
-        assert result.final_name == "dual.example."
+        res4, res6 = resolver.resolve("dual.example.")
+        assert res4.addresses == (IPv4Address(1),)
+        assert res4.final_name == "dual.example."
+        assert res6.addresses == (IPv6Address(1),)
 
     def test_name_is_case_folded(self, resolver):
-        result = resolver.resolve("DUAL.example.", V4)
-        assert result.addresses == (IPv4Address(1),)
+        res4, _ = resolver.resolve("DUAL.example.")
+        assert res4.addresses == (IPv4Address(1),)
 
-    def test_missing_family_raises_norecord(self, resolver):
-        with pytest.raises(NoRecord):
-            resolver.resolve("v4only.example.", V6)
+    def test_missing_family_raises_norecord(self, resolver, store):
+        """A name answering only AAAA is filed single-stack: no A record."""
+        store.zone_for("example.").add(
+            ResourceRecord("v6only.example.", RecordType.AAAA, IPv6Address(3))
+        )
+        assert resolver.resolve("v6only.example.") is SINGLE_STACK
+        assert "v6only.example." in resolver.no_v4
+        assert "v6only.example." in resolver.v6
 
-    def test_unknown_name_raises_nxdomain(self, resolver):
-        with pytest.raises(NxDomain):
-            resolver.resolve("ghost.example.", V4)
+    def test_unknown_name_raises_nxdomain(self, resolver, store):
+        """A CNAME onto a name that does not exist answers neither family."""
+        store.zone_for("example.").add(
+            ResourceRecord("dangling.example.", RecordType.CNAME, "ghost.example.")
+        )
+        assert resolver.resolve("dangling.example.") is SINGLE_STACK
+        assert "dangling.example." in resolver.no_v4
+        assert "dangling.example." not in resolver.v6
 
     def test_cname_chain_followed(self, resolver):
-        result = resolver.resolve("alias.example.", V4)
-        assert result.final_name == "dual.example."
-        assert result.addresses == (IPv4Address(1),)
+        res4, _ = resolver.resolve("alias.example.")
+        assert res4.final_name == "dual.example."
+        assert res4.addresses == (IPv4Address(1),)
 
     def test_cname_loop_detected(self, resolver):
         with pytest.raises(DnsError):
-            resolver.resolve("loop-a.example.", V4)
+            resolver.resolve("loop-a.example.")
 
 
 class TestCaching:
     def test_second_query_hits_cache(self, resolver):
-        first = resolver.resolve("dual.example.", V4, now=0.0)
-        second = resolver.resolve("dual.example.", V4, now=1.0)
-        assert not first.from_cache
-        assert second.from_cache
-        assert resolver.hits >= 1
-
-    def test_cache_expires_with_ttl(self, resolver):
-        resolver.resolve("dual.example.", V4, now=0.0)
-        later = resolver.resolve("dual.example.", V4, now=61.0)
-        assert not later.from_cache
+        first = resolver.resolve("dual.example.")
+        walks = _walks()
+        second = resolver.resolve("dual.example.")
+        # The shared answers memo hands back the very same objects.
+        assert second[0] is first[0] and second[1] is first[1]
+        assert _walks() == walks
 
     def test_negative_answers_are_cached(self, resolver):
-        with pytest.raises(NoRecord):
-            resolver.resolve("v4only.example.", V6, now=0.0)
-        misses_before = resolver.misses
-        with pytest.raises(NoRecord):
-            resolver.resolve("v4only.example.", V6, now=1.0)
-        assert resolver.misses == misses_before  # served from negative cache
+        resolver.resolve("v4only.example.")
+        walks = _walks()
+        assert resolver.resolve("v4only.example.") is SINGLE_STACK
+        assert resolver.sites["v4only.example."] is SINGLE_STACK
+        assert _walks() == walks
 
-    def test_negative_cache_expires(self, resolver):
-        with pytest.raises(NoRecord):
-            resolver.resolve("v4only.example.", V6, now=0.0)
-        misses_before = resolver.misses
-        with pytest.raises(NoRecord):
-            resolver.resolve("v4only.example.", V6, now=NEGATIVE_TTL + 1.0)
-        assert resolver.misses > misses_before
-
-    def test_cache_sees_new_records_after_expiry(self, resolver, store):
-        """A site adopting IPv6 becomes visible once the negative TTL lapses."""
-        with pytest.raises(NoRecord):
-            resolver.resolve("v4only.example.", V6, now=0.0)
+    def test_changed_name_re_resolved_after_sync(self, resolver, store):
+        """A site adopting IPv6 is forgotten at the next sync and re-filed."""
+        resolver.sync()
+        assert resolver.resolve("v4only.example.") is SINGLE_STACK
         store.zone_for("example.").add(
             ResourceRecord("v4only.example.", RecordType.AAAA, IPv6Address(9))
         )
-        result = resolver.resolve("v4only.example.", V6, now=NEGATIVE_TTL + 1.0)
-        assert result.addresses == (IPv6Address(9),)
+        resolver.sync()
+        assert "v4only.example." not in resolver.sites
+        _, res6 = resolver.resolve("v4only.example.")
+        assert res6.addresses == (IPv6Address(9),)
+        assert "v4only.example." in resolver.v6
 
-    def test_flush(self, resolver):
-        resolver.resolve("dual.example.", V4, now=0.0)
-        resolver.flush()
-        assert not resolver.resolve("dual.example.", V4, now=1.0).from_cache
+    def test_cname_target_change_forgets_its_customers(self):
+        store = _cdn_store("www.example.")
+        resolver = Resolver(store=store)
+        resolver.sync()
+        resolver.resolve("www.example.")
+        store.zone_for("example.").remove("edge.cdn.example.", RecordType.AAAA)
+        resolver.sync()
+        assert "www.example." not in resolver.sites
+        assert resolver.resolve("www.example.") is SINGLE_STACK
+
+    def test_account_books_hits_and_misses(self, resolver):
+        before_hits = metrics.counter("dns.cache_hits").value
+        before_misses = metrics.counter("dns.cache_misses").value
+        resolver.account(n_queried=5, n_resolved=2)
+        resolver.flush_counters()
+        assert metrics.counter("dns.cache_misses").value == before_misses + 4
+        assert metrics.counter("dns.cache_hits").value == before_hits + 6
 
 
 class TestWholeNamePrefetch:
     """One authoritative walk answers A, AAAA, and CNAME for a name."""
 
     def test_second_family_answered_from_cache(self, resolver):
-        resolver.resolve("dual.example.", V4, now=0.0)
-        misses_before = resolver.misses
-        result = resolver.resolve("dual.example.", V6, now=1.0)
-        assert result.from_cache
-        assert resolver.misses == misses_before
+        walks = _walks()
+        res4, res6 = resolver.resolve("dual.example.")
+        assert res4 is not None and res6 is not None
+        assert _walks() == walks + 1
 
     def test_sites_sharing_cdn_target_hit_cache_within_round(self):
-        """Two CDN customers CNAME to one edge name: the second site's
-        queries only miss on its own CNAME — the shared edge answers
-        both its families from cache."""
-        store = ZoneStore()
-        zone = store.zone_for("example.")
-        zone.add(ResourceRecord("edge.cdn.example.", RecordType.A, IPv4Address(7)))
-        zone.add(
-            ResourceRecord("edge.cdn.example.", RecordType.AAAA, IPv6Address(7))
-        )
-        zone.add(
-            ResourceRecord("site-a.example.", RecordType.CNAME, "edge.cdn.example.")
-        )
-        zone.add(
-            ResourceRecord("site-b.example.", RecordType.CNAME, "edge.cdn.example.")
-        )
-        resolver = Resolver(store=store)
-        first = resolver.query_both("site-a.example.", now=0.0)
-        assert first[V4].final_name == "edge.cdn.example."
-        misses_before = resolver.misses
-        second = resolver.query_both("site-b.example.", now=1.0)
-        assert second[V4].final_name == "edge.cdn.example."
-        assert second[V6].addresses == (IPv6Address(7),)
-        # Only site-b's own name missed; the shared edge was all hits.
-        assert resolver.misses == misses_before + 1
+        """Two CDN customers CNAME to one edge name: the second site walks
+        only its own CNAME — the shared edge answers both its families."""
+        resolver = Resolver(store=_cdn_store("site-a.example.", "site-b.example."))
+        first = resolver.resolve("site-a.example.")
+        assert first[0].final_name == "edge.cdn.example."
+        walks = _walks()
+        second = resolver.resolve("site-b.example.")
+        assert second[0].final_name == "edge.cdn.example."
+        assert second[1].addresses == (IPv6Address(7),)
+        assert _walks() == walks + 1
+        # Both sites share the edge's answer objects.
+        assert second[0] is first[0]
 
     def test_aaaa_reuses_chain_resolved_for_a(self):
-        store = ZoneStore()
-        zone = store.zone_for("example.")
-        zone.add(ResourceRecord("edge.cdn.example.", RecordType.A, IPv4Address(7)))
-        zone.add(
-            ResourceRecord("edge.cdn.example.", RecordType.AAAA, IPv6Address(7))
-        )
-        zone.add(
-            ResourceRecord("www.example.", RecordType.CNAME, "edge.cdn.example.")
-        )
-        resolver = Resolver(store=store)
-        resolver.resolve("www.example.", V4, now=0.0)
-        misses_before = resolver.misses
-        result = resolver.resolve("www.example.", V6, now=1.0)
-        assert result.from_cache
-        assert result.final_name == "edge.cdn.example."
-        assert resolver.misses == misses_before
+        resolver = Resolver(store=_cdn_store("www.example."))
+        walks = _walks()
+        res4, res6 = resolver.resolve("www.example.")
+        assert res4.final_name == res6.final_name == "edge.cdn.example."
+        # One walk for the CNAME, one for its target: both families.
+        assert _walks() == walks + 2
 
     def test_cached_nxdomain_stays_nxdomain(self, resolver):
-        """The cached negative must keep NXDOMAIN and NoRecord distinct:
-        an unknown name answers NXDOMAIN from cache, not NoRecord."""
-        with pytest.raises(NxDomain):
-            resolver.resolve("ghost.example.", V4, now=0.0)
-        misses_before = resolver.misses
-        with pytest.raises(NxDomain):
-            resolver.resolve("ghost.example.", V6, now=1.0)
-        assert resolver.misses == misses_before
-
-
-class TestResolveQuiet:
-    def test_negative_answers_return_none(self, resolver):
-        assert resolver.resolve_quiet("v4only.example.", V6) is None
-        assert resolver.resolve_quiet("ghost.example.", V4) is None
-
-    def test_positive_answer_matches_resolve(self, resolver):
-        quiet = resolver.resolve_quiet("dual.example.", V4, now=0.0)
-        loud = resolver.resolve("dual.example.", V4, now=1.0)
-        assert quiet.addresses == loud.addresses
-        assert quiet.final_name == loud.final_name
+        assert resolver.resolve("ghost.example.") is SINGLE_STACK
+        walks = _walks()
+        assert resolver.resolve("ghost.example.") is SINGLE_STACK
+        assert "ghost.example." in resolver.no_v4
+        assert _walks() == walks
 
 
 class TestQueryBoth:
+    """A site's filing from its A and AAAA answers, and the tallies."""
+
     def test_dual_stack_site(self, resolver):
-        answers = resolver.query_both("dual.example.")
-        assert answers[V4] is not None and answers[V6] is not None
+        res4, res6 = resolver.resolve("dual.example.")
+        assert res4 is not None and res6 is not None
+        assert "dual.example." not in resolver.no_v4
+        assert "dual.example." in resolver.v6
 
     def test_v4_only_site(self, resolver):
-        answers = resolver.query_both("v4only.example.")
-        assert answers[V4] is not None
-        assert answers[V6] is None
+        assert resolver.resolve("v4only.example.") is SINGLE_STACK
+        assert "v4only.example." not in resolver.no_v4
+        assert "v4only.example." not in resolver.v6
 
     def test_unknown_site(self, resolver):
-        answers = resolver.query_both("ghost.example.")
-        assert answers[V4] is None and answers[V6] is None
+        assert resolver.resolve("ghost.example.") is SINGLE_STACK
+        assert "ghost.example." in resolver.no_v4
+        assert "ghost.example." not in resolver.v6
 
 
 class TestDns64:
@@ -205,52 +200,43 @@ class TestDns64:
         return Resolver(store=store, dns64=True)
 
     def test_v4_only_name_gets_synthesized_aaaa(self, resolver64):
-        from repro.net.nat64 import is_nat64_mapped, synthesize_aaaa
-
-        result = resolver64.resolve("v4only.example.", V6)
-        assert result.rtype == RecordType.AAAA
-        assert result.addresses == (synthesize_aaaa(IPv4Address(2)),)
-        assert is_nat64_mapped(result.addresses[0])
+        _, res6 = resolver64.resolve("v4only.example.")
+        assert res6.addresses == (synthesize_aaaa(IPv4Address(2)),)
+        assert is_nat64_mapped(res6.addresses[0])
 
     def test_real_aaaa_is_never_overridden(self, resolver64):
-        from repro.net.nat64 import is_nat64_mapped
-
-        result = resolver64.resolve("dual.example.", V6)
-        assert result.addresses == (IPv6Address(1),)
-        assert not is_nat64_mapped(result.addresses[0])
+        _, res6 = resolver64.resolve("dual.example.")
+        assert res6.addresses == (IPv6Address(1),)
+        assert not is_nat64_mapped(res6.addresses[0])
 
     def test_nxdomain_stays_nxdomain(self, resolver64):
-        with pytest.raises(NxDomain):
-            resolver64.resolve("ghost.example.", V6)
+        assert resolver64.resolve("ghost.example.") is SINGLE_STACK
+        assert "ghost.example." not in resolver64.v6
 
     def test_synthesis_follows_cname_chains(self, resolver64, store):
-        from repro.net.nat64 import is_nat64_mapped
-
         store.zone_for("example.").add(
             ResourceRecord("alias4.example.", RecordType.CNAME, "v4only.example.")
         )
-        result = resolver64.resolve("alias4.example.", V6)
-        assert result.final_name == "v4only.example."
-        assert is_nat64_mapped(result.addresses[0])
+        _, res6 = resolver64.resolve("alias4.example.")
+        assert res6.final_name == "v4only.example."
+        assert is_nat64_mapped(res6.addresses[0])
 
     def test_ipv4_answers_untouched(self, resolver64):
-        result = resolver64.resolve("v4only.example.", V4)
-        assert result.addresses == (IPv4Address(2),)
+        res4, _ = resolver64.resolve("v4only.example.")
+        assert res4.addresses == (IPv4Address(2),)
 
-    def test_disabled_resolver_still_raises(self, resolver):
-        with pytest.raises(NoRecord):
-            resolver.resolve("v4only.example.", V6)
+    def test_disabled_resolver_files_v4_only_as_single_stack(self, resolver):
+        assert resolver.resolve("v4only.example.") is SINGLE_STACK
+        assert "v4only.example." not in resolver.v6
 
     def test_synthesis_counter_increments(self, resolver64):
-        from repro.obs import metrics
-
         before = metrics.counter("dns.dns64.synthesized").value
-        resolver64.resolve("v4only.example.", V6)
+        resolver64.resolve("v4only.example.")
+        resolver64.flush_counters()
         assert metrics.counter("dns.dns64.synthesized").value == before + 1
 
     def test_query_both_sees_both_families(self, resolver64):
-        from repro.net.nat64 import is_nat64_mapped
-
-        answers = resolver64.query_both("v4only.example.")
-        assert answers[V4].addresses == (IPv4Address(2),)
-        assert is_nat64_mapped(answers[V6].addresses[0])
+        res4, res6 = resolver64.resolve("v4only.example.")
+        assert res4.addresses == (IPv4Address(2),)
+        assert is_nat64_mapped(res6.addresses[0])
+        assert "v4only.example." in resolver64.v6

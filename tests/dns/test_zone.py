@@ -97,18 +97,17 @@ class TestZoneStore:
         store = ZoneStore()
         store.zone_for("example.").add(a_record("www.example."))
         store.zone_for("cdn.").add(a_record("edge.cdn.", 9))
-        assert store.authoritative_lookup("edge.cdn.", RecordType.A)
+        assert store.view().entry("edge.cdn.").rrset(RecordType.A)
 
     def test_authoritative_nxdomain(self):
         store = ZoneStore()
         store.zone_for("example.").add(a_record("www.example."))
-        with pytest.raises(NxDomain):
-            store.authoritative_lookup("nope.example.", RecordType.A)
+        assert not store.view().entry("nope.example.").exists
 
     def test_missing_type_returns_empty(self):
         store = ZoneStore()
         store.zone_for("example.").add(a_record("www.example."))
-        assert not store.authoritative_lookup("www.example.", RecordType.AAAA)
+        assert store.view().entry("www.example.").rrset(RecordType.AAAA) is None
 
     def test_len(self):
         store = ZoneStore()

@@ -78,15 +78,12 @@ class TestCampaignStore:
     def test_miss_on_empty_store(self, tmp_path):
         store = CampaignStore(tmp_path)
         assert store.load(small_config(seed=3)) is None
-        assert not store.has(small_config(seed=3))
 
     def test_round_trip(self, tmp_path):
         store = CampaignStore(tmp_path)
         cfg = small_config(seed=3)
         repository, reports = tiny_campaign()
         store.save(cfg, repository, reports)
-        assert store.has(cfg)
-
         stored = store.load(cfg)
         assert stored is not None
         assert stored.repository.content_digest() == repository.content_digest()

@@ -32,7 +32,7 @@ class TestTable:
         table.add_row(1, 2)
         table.add_row(3, 4)
         assert table.cell(0, "b") == 2
-        assert table.column_values("a") == [1, 3]
+        assert [row[0] for row in table.rows] == [1, 3]
 
     def test_render_contains_everything(self):
         table = Table(

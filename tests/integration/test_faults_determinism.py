@@ -15,6 +15,7 @@ Three invariants pinned here:
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -51,7 +52,7 @@ def _faulty_config(seed: int):
 
 def _fault_counters(repository):
     return {
-        name: repository.database(name).fault_counts()
+        name: Counter(obs.kind for obs in repository.database(name).faults)
         for name in repository.vantage_names
     }
 

@@ -116,12 +116,12 @@ class TestPaths:
         db.add_path(path(1, 1, V6, (1, 2, 3)))
         db.add_path(path(1, 2, V6, (1, 4, 3)))
         assert db.path_change_rounds(1, V6) == [2]
-        assert db.had_path_change(1)
 
     def test_no_path_change(self, db):
         db.add_path(path(1, 0, V6, (1, 2, 3)))
         db.add_path(path(1, 1, V6, (1, 2, 3)))
-        assert not db.had_path_change(1)
+        assert db.path_change_rounds(1, V6) == []
+        assert db.path_change_rounds(1, V4) == []
 
     def test_dest_asn_uses_latest(self, db):
         db.add_path(path(1, 0, V6, (1, 2, 3)))

