@@ -16,6 +16,12 @@ import time
 from repro import build_world, run_campaign, small_config
 from repro.analysis.classify import SiteCategory
 from repro.analysis.hypotheses import ASVerdict, verdict_fractions
+from repro.data.series import (
+    converged_speeds,
+    dual_stack_sites,
+    modal_as_path,
+    v6_reachability,
+)
 from repro.experiments.scenario import build_contexts
 from repro.net.addresses import AddressFamily
 
@@ -47,7 +53,7 @@ def main() -> int:
     print("\nPer-vantage view:")
     contexts = build_contexts(config, result)
     for name, context in contexts.items():
-        reach = context.db.v6_reachability(config.campaign.n_rounds - 1)
+        reach = v6_reachability(context.db, config.campaign.n_rounds - 1)
         print(
             f"  {name:8s} dual-stack sites: {len(context.dual_stack_sites):4d} "
             f"kept: {len(context.kept):4d} "
@@ -75,14 +81,14 @@ def main() -> int:
     # Bonus: look at one dual-stack site's paths.
     penn = world.vantages[0]
     db = result.repository.database(penn.name)
-    dual = db.dual_stack_sites()
+    dual = dual_stack_sites(db)
     if dual:
         sid = dual[0]
         site = world.catalog.site(sid)
         print(f"\nExample site {site.name} from {penn.name}:")
         for family in (AddressFamily.IPV4, AddressFamily.IPV6):
-            path = db.as_path(sid, family)
-            speeds = db.speeds(sid, family)
+            path = modal_as_path(db, sid, family)
+            speeds = converged_speeds(db, sid, family)
             mean = sum(speeds) / len(speeds) if speeds else float("nan")
             print(f"  {family}: path={path} mean speed={mean:.1f} kB/s")
     return 0

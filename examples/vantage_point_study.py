@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro import build_world, run_campaign, small_config
 from repro.analysis.classify import SiteCategory
+from repro.data.series import converged_speeds, modal_as_path
 from repro.dataplane.path import ForwardingPath
 from repro.experiments.scenario import build_contexts
 from repro.net.addresses import AddressFamily
@@ -64,14 +65,14 @@ def main() -> int:
             for context in (a, b):
                 print(f"  from {context.vantage.name}:")
                 for family in (V4, V6):
-                    as_path = context.db.as_path(sid, family)
+                    as_path = modal_as_path(context.db, sid, family)
                     if as_path is None:
                         print(f"    {family}: unreachable")
                         continue
                     path = ForwardingPath.from_as_path(
                         world.dualstack, as_path, family
                     )
-                    speeds = context.db.speeds(sid, family)
+                    speeds = converged_speeds(context.db, sid, family)
                     mean = sum(speeds) / len(speeds)
                     print(f"    {path.describe()}  mean {mean:.1f} kB/s")
     print(

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from ..data.columnar import columnar_view
+from ..data.columnar import ColumnarDatabase
+from ..data.columnar import columnar_view  # noqa: F401  (a perfbench timer target)
 from ..data.series import dest_asn, modal_as_path
-from ..monitor.database import MeasurementDatabase
 from ..net.addresses import AddressFamily
 from ..obs import span
 
@@ -49,7 +49,7 @@ class SiteClassification:
 
 
 def classify_site(
-    db: MeasurementDatabase, site_id: int
+    db: ColumnarDatabase, site_id: int
 ) -> SiteClassification | None:
     """Classify one site from its recorded paths; None without path data.
 
@@ -57,11 +57,10 @@ def classify_site(
     by the path they used most of the time, as the paper effectively does
     by comparing stable AS-path snapshots).
     """
-    cdb = columnar_view(db)
-    dest_v4 = dest_asn(cdb, site_id, AddressFamily.IPV4)
-    dest_v6 = dest_asn(cdb, site_id, AddressFamily.IPV6)
-    path_v4 = modal_as_path(cdb, site_id, AddressFamily.IPV4)
-    path_v6 = modal_as_path(cdb, site_id, AddressFamily.IPV6)
+    dest_v4 = dest_asn(db, site_id, AddressFamily.IPV4)
+    dest_v6 = dest_asn(db, site_id, AddressFamily.IPV6)
+    path_v4 = modal_as_path(db, site_id, AddressFamily.IPV4)
+    path_v6 = modal_as_path(db, site_id, AddressFamily.IPV6)
     if dest_v4 is None or dest_v6 is None or path_v4 is None or path_v6 is None:
         return None
     if dest_v4 != dest_v6:
@@ -81,7 +80,7 @@ def classify_site(
 
 
 def classify_sites(
-    db: MeasurementDatabase, site_ids: Iterable[int]
+    db: ColumnarDatabase, site_ids: Iterable[int]
 ) -> dict[int, SiteClassification]:
     """Classify many sites, skipping those without path data."""
     with span("analysis.classify", vantage=db.vantage_name):
@@ -171,20 +170,19 @@ class TransitionKind(Enum):
 
 
 def classify_transitions(
-    db: MeasurementDatabase, site_ids: Iterable[int] | None = None
+    db: ColumnarDatabase, site_ids: Iterable[int] | None = None
 ) -> dict[int, TransitionKind]:
     """Latest-observed transition kind per site (the three-way split).
 
     A site that adopts native IPv6 mid-campaign moves from TRANSLATED
-    to NATIVE: classification follows its most recent round, matching
-    :meth:`~repro.monitor.database.MeasurementDatabase.transition_kind_of`.
+    to NATIVE: classification follows its most recent round.
     Sites without transition rows (transition recording off, or the
     site never measured over v6) are omitted.
     """
     with span("analysis.transitions", vantage=db.vantage_name):
-        latest: dict[int, str] = {}
-        for obs in db.transitions:
-            latest[obs.site_id] = obs.kind
+        table = db.table("transitions")
+        kinds = table.column("transition").values_list()
+        latest: dict[int, str] = dict(zip(table.column("site_id").values, kinds))
         if site_ids is not None:
             wanted = set(site_ids)
             latest = {sid: k for sid, k in latest.items() if sid in wanted}

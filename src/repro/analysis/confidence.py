@@ -17,9 +17,9 @@ from enum import Enum
 from typing import Iterable
 
 from ..config import AnalysisConfig, MonitorConfig
-from ..data.columnar import columnar_view
+from ..data.columnar import ColumnarDatabase
+from ..data.columnar import columnar_view  # noqa: F401  (a perfbench timer target)
 from ..data.series import converged_speeds, download_rounds, path_change_rounds
-from ..monitor.database import MeasurementDatabase
 from ..net.addresses import AddressFamily
 from ..obs import metrics, span
 from ..stats.intervals import t_confidence_interval
@@ -66,15 +66,14 @@ class SiteScreening:
 
 
 def _check_family(
-    db: MeasurementDatabase,
+    db: ColumnarDatabase,
     site_id: int,
     family: AddressFamily,
     monitor_cfg: MonitorConfig,
     analysis_cfg: AnalysisConfig,
 ) -> tuple[RemovalReason | None, int | None]:
     """Screen one family's series; returns (reason, step_round)."""
-    cdb = columnar_view(db)
-    speeds = converged_speeds(cdb, site_id, family)
+    speeds = converged_speeds(db, site_id, family)
     if len(speeds) < monitor_cfg.min_rounds:
         return RemovalReason.INSUFFICIENT_SAMPLES, None
 
@@ -85,7 +84,7 @@ def _check_family(
         persistence=analysis_cfg.step_persistence,
     )
     if step is not None:
-        rounds = download_rounds(cdb, site_id, family)
+        rounds = download_rounds(db, site_id, family)
         step_round = rounds[step.index] if step.index < len(rounds) else rounds[-1]
         reason = (
             RemovalReason.STEP_UP if step.direction > 0 else RemovalReason.STEP_DOWN
@@ -110,18 +109,17 @@ def _check_family(
 
 
 def _near_path_change(
-    db: MeasurementDatabase, site_id: int, step_round: int
+    db: ColumnarDatabase, site_id: int, step_round: int
 ) -> bool:
-    cdb = columnar_view(db)
     for family in (AddressFamily.IPV4, AddressFamily.IPV6):
-        for change_round in path_change_rounds(cdb, site_id, family):
+        for change_round in path_change_rounds(db, site_id, family):
             if abs(change_round - step_round) <= PATH_CHANGE_WINDOW:
                 return True
     return False
 
 
 def screen_site(
-    db: MeasurementDatabase,
+    db: ColumnarDatabase,
     site_id: int,
     monitor_cfg: MonitorConfig,
     analysis_cfg: AnalysisConfig,
@@ -148,7 +146,7 @@ def screen_site(
 
 
 def screen_all(
-    db: MeasurementDatabase,
+    db: ColumnarDatabase,
     site_ids: Iterable[int],
     monitor_cfg: MonitorConfig,
     analysis_cfg: AnalysisConfig,

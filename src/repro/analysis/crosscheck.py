@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import AnalysisConfig
-from ..monitor.database import MeasurementDatabase
+from ..data.columnar import ColumnarDatabase
 from .classify import ASGroup
 from .hypotheses import ASEvaluation, ASVerdict, evaluate_as
 from .zeromode import relative_differences
@@ -60,7 +60,7 @@ def cross_check(
 
 
 def cross_check_common_sites(
-    per_vantage: dict[str, tuple[MeasurementDatabase, dict[int, ASGroup]]],
+    per_vantage: dict[str, tuple[ColumnarDatabase, dict[int, ASGroup]]],
     analysis_cfg: AnalysisConfig,
 ) -> CrossCheckResult:
     """Cross-check AS verdicts over the vantage points' *common* sites.

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..monitor.database import MeasurementDatabase
+from ..data.columnar import ColumnarDatabase
+from ..data.series import modal_as_path
 from ..net.addresses import AddressFamily
 from .classify import ASGroup
 from .hypotheses import ASEvaluation, ASVerdict
@@ -23,7 +24,7 @@ GOODNESS_BUCKETS = ("100%", "[75%,100%)", "[50%,75%)", "[25%,50%)", "[0%,25%)")
 
 
 def collect_good_ases(
-    per_vantage: dict[str, tuple[MeasurementDatabase, dict[int, ASEvaluation]]],
+    per_vantage: dict[str, tuple[ColumnarDatabase, dict[int, ASEvaluation]]],
 ) -> set[int]:
     """ASes found on any good IPv6 path, across all vantage points.
 
@@ -37,7 +38,7 @@ def collect_good_ases(
                 continue
             # Any site of the AS carries the (shared) v6 path.
             for site_id in evaluation.zero_mode_site_ids or ():
-                path = db.as_path(site_id, AddressFamily.IPV6)
+                path = modal_as_path(db, site_id, AddressFamily.IPV6)
                 if path is not None:
                     good.update(path[1:])
                     break
@@ -47,7 +48,7 @@ def collect_good_ases(
 
 
 def dp_path_goodness(
-    db: MeasurementDatabase,
+    db: ColumnarDatabase,
     dp_groups: Iterable[ASGroup],
     good_ases: set[int],
 ) -> dict[int, float]:
@@ -60,7 +61,7 @@ def dp_path_goodness(
     for group in dp_groups:
         path = None
         for site_id in group.site_ids:
-            path = db.as_path(site_id, AddressFamily.IPV6)
+            path = modal_as_path(db, site_id, AddressFamily.IPV6)
             if path is not None:
                 break
         if path is None or len(path) < 2:

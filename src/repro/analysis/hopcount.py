@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..data.columnar import columnar_view
+from ..data.columnar import ColumnarDatabase
+from ..data.columnar import columnar_view  # noqa: F401  (a perfbench timer target)
 from ..data.series import mean_speed as series_mean_speed
 from ..data.series import modal_as_path
-from ..monitor.database import MeasurementDatabase
 from ..net.addresses import AddressFamily
 
 #: Bucket labels in table order; the last is open-ended.
@@ -44,7 +44,7 @@ class HopBucket:
 
 
 def performance_by_hopcount(
-    db: MeasurementDatabase, site_ids: Iterable[int]
+    db: ColumnarDatabase, site_ids: Iterable[int]
 ) -> dict[AddressFamily, dict[str, HopBucket]]:
     """Bucketed mean speeds per family for the given sites.
 
@@ -52,13 +52,12 @@ def performance_by_hopcount(
     adjacent destination is 1 hop).  Sites without a path or without
     speed data in a family are skipped for that family.
     """
-    cdb = columnar_view(db)
     sums: dict[tuple[AddressFamily, str], float] = {}
     counts: dict[tuple[AddressFamily, str], int] = {}
     for site_id in site_ids:
         for family in (AddressFamily.IPV4, AddressFamily.IPV6):
-            path = modal_as_path(cdb, site_id, family)
-            speed = series_mean_speed(cdb, site_id, family)
+            path = modal_as_path(db, site_id, family)
+            speed = series_mean_speed(db, site_id, family)
             if path is None or speed is None or len(path) < 2:
                 continue
             bucket = bucket_of(len(path) - 1)

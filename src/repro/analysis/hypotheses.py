@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Iterable
 
 from ..config import AnalysisConfig
-from ..monitor.database import MeasurementDatabase
+from ..data.columnar import ColumnarDatabase
 from ..net.addresses import AddressFamily
 from ..obs import metrics, span
 from .classify import ASGroup
@@ -52,7 +52,7 @@ class ASEvaluation:
 
 
 def evaluate_as(
-    db: MeasurementDatabase,
+    db: ColumnarDatabase,
     group: ASGroup,
     analysis_cfg: AnalysisConfig,
     site_filter: Iterable[int] | None = None,
@@ -108,7 +108,7 @@ def evaluate_as(
 
 
 def evaluate_groups(
-    db: MeasurementDatabase,
+    db: ColumnarDatabase,
     groups: Iterable[ASGroup],
     analysis_cfg: AnalysisConfig,
 ) -> dict[int, ASEvaluation]:

@@ -8,22 +8,20 @@ difference and the "is IPv6 faster" indicator (Fig 3b).
 
 from __future__ import annotations
 
-from ..monitor.database import MeasurementDatabase
+from ..data.columnar import ColumnarDatabase
+from ..data.series import mean_speed
 from ..net.addresses import AddressFamily
 
 
 def site_mean_speed(
-    db: MeasurementDatabase, site_id: int, family: AddressFamily
+    db: ColumnarDatabase, site_id: int, family: AddressFamily
 ) -> float | None:
     """Mean of the site's per-round average speeds; None without data."""
-    speeds = db.speeds(site_id, family)
-    if not speeds:
-        return None
-    return sum(speeds) / len(speeds)
+    return mean_speed(db, site_id, family)
 
 
 def site_relative_difference(
-    db: MeasurementDatabase, site_id: int
+    db: ColumnarDatabase, site_id: int
 ) -> float | None:
     """``(v6 - v4) / v4`` of the site's mean speeds; None without data.
 
@@ -37,7 +35,7 @@ def site_relative_difference(
     return (v6 - v4) / v4
 
 
-def v6_faster(db: MeasurementDatabase, site_id: int) -> bool | None:
+def v6_faster(db: ColumnarDatabase, site_id: int) -> bool | None:
     """True when the site's mean IPv6 speed beats IPv4; None without data."""
     diff = site_relative_difference(db, site_id)
     if diff is None:
@@ -45,7 +43,7 @@ def v6_faster(db: MeasurementDatabase, site_id: int) -> bool | None:
     return diff > 0.0
 
 
-def fraction_v6_faster(db: MeasurementDatabase, site_ids) -> float | None:
+def fraction_v6_faster(db: ColumnarDatabase, site_ids) -> float | None:
     """Share of sites where IPv6 downloads are faster (Fig 3b's metric)."""
     verdicts = [v6_faster(db, sid) for sid in site_ids]
     verdicts = [v for v in verdicts if v is not None]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
-from ..monitor.database import MeasurementDatabase
+from ..data.columnar import ColumnarDatabase
 from .classify import SiteClassification
 from .metrics import v6_faster
 
@@ -81,7 +81,7 @@ def _shares(values: Iterable[Hashable]) -> dict[Hashable, float]:
 
 
 def trait_analysis(
-    db: MeasurementDatabase,
+    db: ColumnarDatabase,
     classifications: dict[int, SiteClassification],
     extra_traits: dict[str, Callable[[int], Hashable]] | None = None,
 ) -> TraitReport:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..monitor.database import MeasurementDatabase
+from ..data.columnar import ColumnarDatabase
+from ..data.series import modal_as_path
 from ..net.addresses import AddressFamily
 
 
@@ -63,11 +64,11 @@ class PathComparison:
 
 
 def compare_site_paths(
-    db: MeasurementDatabase, site_id: int
+    db: ColumnarDatabase, site_id: int
 ) -> PathComparison | None:
     """Compare a site's modal IPv4 and IPv6 paths; None without data."""
-    v4 = db.as_path(site_id, AddressFamily.IPV4)
-    v6 = db.as_path(site_id, AddressFamily.IPV6)
+    v4 = modal_as_path(db, site_id, AddressFamily.IPV4)
+    v6 = modal_as_path(db, site_id, AddressFamily.IPV6)
     if v4 is None or v6 is None:
         return None
     return PathComparison(path_v4=v4, path_v6=v6)
@@ -86,7 +87,7 @@ class DivergenceSummary:
 
 
 def summarise_divergence(
-    db: MeasurementDatabase, site_ids: Iterable[int]
+    db: ColumnarDatabase, site_ids: Iterable[int]
 ) -> DivergenceSummary:
     """Summarise path divergence across ``site_ids`` (DP sites, typically)."""
     comparisons = [

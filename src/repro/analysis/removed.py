@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..monitor.database import MeasurementDatabase
+from ..data.columnar import ColumnarDatabase
 from .classify import SiteCategory, classify_site
 from .confidence import RemovalReason, SiteScreening
 from .metrics import site_relative_difference
@@ -49,7 +49,7 @@ class RemovedSiteAudit:
 
 def audit_removed_sites(
     vantage_name: str,
-    db: MeasurementDatabase,
+    db: ColumnarDatabase,
     screenings: dict[int, SiteScreening],
     comparable_threshold: float = 0.10,
 ) -> RemovedSiteAudit:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ..monitor.database import MeasurementDatabase
+from ..data.columnar import ColumnarDatabase
 from .metrics import site_relative_difference
 
 
 def relative_differences(
-    db: MeasurementDatabase, site_ids: Iterable[int]
+    db: ColumnarDatabase, site_ids: Iterable[int]
 ) -> dict[int, float]:
     """Per-site ``(v6 - v4)/v4`` for every site with data."""
     out: dict[int, float] = {}

@@ -43,6 +43,7 @@ from ..monitor.download import backoff_seconds, probe_page, run_converging_loop
 from ..monitor.tool import RoundReport
 from ..net.addresses import AddressFamily
 from ..obs import get_logger, metrics
+from ..web.page import identical_within
 from .plan import RoundPlan, SitePlan, build_round_plan
 
 #: nominal seconds spent on a site that fails an early phase.
@@ -264,10 +265,7 @@ class _RoundExecution:
             return DNS_PHASE_SECONDS + dns_extra + v4_seconds + v6_seconds
         v4_bytes = session_v4.endpoint.page_bytes
         v6_bytes = session_v6.endpoint.page_bytes
-        identical = (
-            abs(v4_bytes - v6_bytes) / max(v4_bytes, v6_bytes)
-            <= cfg.identity_threshold
-        )
+        identical = identical_within(v4_bytes, v6_bytes, cfg.identity_threshold)
         self.page_rows.append(
             PageCheck(
                 site_id=site_id,

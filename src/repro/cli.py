@@ -54,6 +54,7 @@ from . import obs
 from .analysis.hypotheses import ASVerdict, verdict_fractions
 from .config import EXECUTION_BACKENDS, ExecutionConfig, default_config, small_config
 from .core import build_world, run_campaign
+from .data.series import transition_counts
 from .experiments import run_all as run_all_module
 from .experiments import scenario
 from .experiments.scenario import build_contexts
@@ -177,10 +178,9 @@ def _cmd_quickrun(args: argparse.Namespace) -> int:
         )
     print("H1 expects the left column high; H2 expects the right column low.")
     if config.dns64.enabled:
-        repo = result.repository
         counts: dict[str, int] = {}
-        for name in repo.vantage_names:
-            for kind, n in repo.database(name).transition_counts().items():
+        for _, cdb in result.repository.items():
+            for kind, n in transition_counts(cdb).items():
                 counts[kind] = counts.get(kind, 0) + n
         rendered = ", ".join(
             f"{kind}={counts.get(kind, 0)}"
@@ -433,8 +433,8 @@ def _cmd_observe(args: argparse.Namespace) -> int:
                 ),
             )
         digest = config_digest(config, WEEKLY)
-        # a hit runs the panel on the entry's decoded columns; a miss on
-        # the transposes its save memoised (no second encode either way)
+        # a hit runs the panel on the entry's decoded columns, a miss on
+        # the campaign's own frozen columns
         loaded = store.load_columnar_entry(digest) if store is not None else None
         if loaded is not None:
             columnar = loaded[1]
@@ -446,7 +446,7 @@ def _cmd_observe(args: argparse.Namespace) -> int:
                     config, result.repository, result.reports, kind=WEEKLY,
                     world=world,
                 )
-            columnar = ColumnarRepository.from_views(result.repository)
+            columnar = ColumnarRepository.from_repository(result.repository)
         reports = run_panel(columnar, campaign_digest=digest, names=names)
         if store is not None:
             store.save_observer_reports(digest, reports)

@@ -47,7 +47,10 @@ class CampaignResult:
     reports: dict[str, list[RoundReport]] = field(default_factory=dict)
 
     def total_measurements(self) -> int:
-        return sum(len(self.repository.database(v)) for v in self.repository.vantage_names)
+        """Download-statistics rows recorded across every vantage."""
+        return sum(
+            cdb.table("downloads").n_rows for _, cdb in self.repository.items()
+        )
 
 
 def build_campaign_shards(
@@ -74,10 +77,9 @@ def merge_shard_results(
 ) -> CampaignResult:
     """Fold executed shards back into one campaign result.
 
-    Each shard's database is adopted as is (a worker's arrived rebuilt
-    from its wire form by unpickling); vantage and report payloads are
-    plain dicts.  Databases register with the central repository in
-    shard order.
+    Each shard's frozen columns are adopted as is (a worker's arrive
+    unpickled); vantage and report payloads are plain dicts.  Databases
+    register with the central repository in shard order.
     """
     repository = CentralRepository()
     reports: dict[str, list[RoundReport]] = {}

@@ -5,15 +5,17 @@ package is the reproduction's delivery of that promise at system scale.
 Four layers:
 
 * :mod:`repro.data.columnar` — struct-of-arrays encodings of every
-  measurement table with dictionary-encoded AS paths and sorted indices;
-  the ``columnar.bin`` campaign-store artifact (bit-identical round
-  trips with the row-object database).
+  measurement table with dictionary-encoded AS paths and sorted indices:
+  the campaign's one data model from shard end to disk, and the
+  ``columnar.bin`` campaign-store artifact (bit-identical round trips).
 * :mod:`repro.data.query` — filter / project / group-aggregate
   primitives with predicate pushdown, behind the ad-hoc queries served
   over HTTP.
 * :mod:`repro.data.series` — per-(site, family) series of a columnar
-  database, built once per table and memoised; the analysis passes,
-  the observer panel and the query module's per-site helpers read it.
+  database, built once per table and memoised, plus the per-site and
+  per-database rules (mean speed, modal path, dual-stack population,
+  Fig 1 reachability, ...) that the analysis, the experiments and the
+  observer panel read.
 * :mod:`repro.data.serve` — the stdlib-only ``repro serve`` JSON API
   over the campaign store (imported lazily by the CLI; not re-exported
   here to keep ``repro.data`` importable from the engine's store).

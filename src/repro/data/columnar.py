@@ -1,25 +1,28 @@
 """Struct-of-arrays encodings of the measurement tables.
 
-The paper promised public access to its measurement data (§5.5); the
-CampaignStore persists each campaign as one binary columnar artifact.
-This module defines it: every table of a
-:class:`~repro.monitor.database.MeasurementDatabase` — DNS observations,
-page checks, downloads, AS paths, faults, plus the per-round DNS
-counters — as typed columns, with dictionary encoding for the low-
-cardinality values (address family, fault kind, AS path) and lazily
-built per-``(site_id, family, round)`` sorted indices for point lookups.
+The paper's tool writes each round into "several tables in a mysql
+database" and analyses those tables afterwards.  This module defines
+those tables once, as the reproduction's one measurement data model:
+DNS observations, page checks, downloads, AS paths, faults,
+transitions, plus the per-round DNS counters, as typed columns with
+dictionary encoding for the low-cardinality values (address family,
+fault kind, AS path) and lazily built per-``(site_id, family, round)``
+sorted indices for point lookups.
+
+A vantage's :class:`~repro.monitor.database.MeasurementDatabase` is only
+the round plane's write buffer.  :func:`columnar_view` turns it into a
+:class:`ColumnarDatabase` once, when the vantage's shard ends; from then
+on the campaign (shard results, the central repository, the store, the
+analysis, the observers and ``repro serve``) holds columns and nothing
+rebuilds row objects.  Rows keep the wire order: grouped by the first
+appearance of each key (site, or site and family), rounds ascending
+within a group.
 
 Columns are backed by compact typed storage rather than Python lists:
 ``array('q')`` for i64, ``array('d')`` for f64, one byte per row for
 bool, ``array('I')`` codes for dictionary columns.  Only str columns
 keep a Python list.  Decoded binary columns are zero-copy
 ``memoryview`` casts over the mapped file bytes.
-
-Bit-identity contract: the columnar form is defined as a *transposition*
-of :meth:`MeasurementDatabase.to_dict`'s wire rows, and decoding rebuilds
-the database through :meth:`MeasurementDatabase.from_dict`, so a
-round trip (rows → columns → rows) reproduces the original database —
-and therefore :meth:`CentralRepository.content_digest` — bit for bit.
 
 ``columnar.bin`` is the store's form: a struct-packed header
 (``magic, version, meta length, sha256``), a canonical-JSON metadata
@@ -28,7 +31,8 @@ blob naming every column's byte range (dictionaries inline), then
 metadata plus body, is computed incrementally at write time, and is
 verified on every load.  Decoding is lazy at table granularity:
 :class:`LazyColumnarDatabase` materialises a table only when it is
-first touched.
+first touched.  :func:`check_round_order` re-checks the write buffer's
+invariants on decoded columns.
 
 :func:`iter_columnar_json` streams the same repository as canonical
 JSON, one column at a time: the interchange encoding, and the oracle
@@ -44,15 +48,10 @@ import sys
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from ..errors import DataError
-from ..monitor.aggregate import CentralRepository, encode_compact, iter_json_object
-from ..monitor.database import (
-    FAULT_KINDS,
-    TRANSITION_KINDS,
-    MeasurementDatabase,
-)
-from ..monitor.vantage import VantagePoint
 from ..net.addresses import AddressFamily
 from ..obs import metrics
 
@@ -71,6 +70,38 @@ _BINARY_HEADER = struct.Struct("<6sHQ32s")
 #: fixed dictionary for family columns (codes are list positions).
 FAMILY_DICTIONARY = (AddressFamily.IPV4.value, AddressFamily.IPV6.value)
 
+#: fault kinds recorded by the monitor (injected failures only — a
+#: structurally unreachable destination is not a fault).
+FAULT_KINDS = (
+    "dns_timeout",
+    "dns_exhausted",
+    "timeout",
+    "reset",
+    "exhausted",
+)
+
+#: how a measured IPv6 connection actually crossed the Internet:
+#: natively routed end to end, through a 6to4/broker tunnel, or
+#: NAT64-translated onto an IPv4 leg.  Order is the wire dictionary.
+TRANSITION_KINDS = (
+    "native",
+    "tunneled",
+    "translated",
+)
+
+#: the compact wire encoding, run by the one-shot C encoder.
+encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def iter_json_object(members):
+    """Chunks of one compact JSON object from ``(key, value chunks)`` pairs."""
+    yield "{"
+    for i, (key, chunks) in enumerate(members):
+        yield ("," if i else "") + encode_compact(key) + ":"
+        yield from chunks
+    yield "}"
+
+
 #: plain column dtypes a payload may declare.
 DTYPES = ("i64", "f64", "bool", "str")
 
@@ -81,7 +112,6 @@ _BOOLS = (False, True)
 
 #: conversion effectiveness counters (serve's LRU and the store read these).
 _ENCODES = metrics.counter("data.columnar.encodes")
-_DECODES = metrics.counter("data.columnar.decodes")
 _BIN_ENCODES = metrics.counter("data.columnar.bin_encodes")
 _BIN_DECODES = metrics.counter("data.columnar.bin_decodes")
 _BIN_DIGEST_VERIFIED = metrics.counter("data.columnar.bin_digest_verified")
@@ -106,15 +136,12 @@ def _plain_storage(name: str, dtype: str, values):
     if dtype == "bool":
         if isinstance(values, (bytes, bytearray, memoryview)):
             return values
-        out = bytearray(len(values))
-        for i, value in enumerate(values):
-            if value is True:
-                out[i] = 1
-            elif value is not False:
-                raise DataError(
-                    f"column {name!r}: value {value!r} not storable as bool"
-                )
-        return bytes(out)
+        if set(map(type, values)) - {bool}:
+            value = next(v for v in values if type(v) is not bool)
+            raise DataError(
+                f"column {name!r}: value {value!r} not storable as bool"
+            )
+        return bytes(values)
     # str columns stay a Python list (variable-width values).
     return values if isinstance(values, list) else list(values)
 
@@ -364,6 +391,37 @@ _FIXED_DICTIONARIES = {
     "transition": list(TRANSITION_KINDS),
 }
 
+#: value -> code of each fixed dictionary; a family code is also found by
+#: its :class:`AddressFamily` member (what the write buffer's rows hold).
+_FIXED_POSITIONS = {
+    name: {value: code for code, value in enumerate(dictionary)}
+    for name, dictionary in _FIXED_DICTIONARIES.items()
+}
+_FIXED_POSITIONS["family"].update(
+    (AddressFamily(value), code) for code, value in enumerate(FAMILY_DICTIONARY)
+)
+
+
+_JSON_BOOLS = ("false", "true")
+#: ``float.__repr__`` of the non-finite values -> what ``json.dumps`` writes.
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_texts(column: "Column | DictColumn") -> list[str]:
+    """Each value of ``column`` as the text ``encode_compact`` writes for it."""
+    if isinstance(column, DictColumn):
+        encoded = [encode_compact(value) for value in column.dictionary]
+        return list(map(encoded.__getitem__, column.codes))
+    values = column.values
+    if column.dtype == "i64":
+        return list(map(int.__repr__, values))
+    if column.dtype == "f64":
+        texts = list(map(float.__repr__, values))
+        return list(map(_JSON_NON_FINITE.get, texts, texts))
+    if column.dtype == "bool":
+        return list(map(_JSON_BOOLS.__getitem__, values))
+    return list(map(encode_basestring_ascii, values))
+
 
 class ColumnarTable:
     """One table as named columns plus lazily built sorted indices."""
@@ -400,12 +458,22 @@ class ColumnarTable:
         return self._indices[keys]
 
     def rows(self) -> list[list]:
-        """Wire rows (the ``to_dict`` layout) rebuilt from the columns."""
+        """Wire rows (the content digest's layout) rebuilt from the columns."""
         decoded = [
             self.columns[name].values_list()
             for name, _ in TABLE_SCHEMAS[self.name]
         ]
         return [list(row) for row in zip(*decoded)]
+
+    def rows_json(self) -> str:
+        """``encode_compact(self.rows())``, built column by column from
+        each value's JSON text, so no per-row container is allocated."""
+        if not self.n_rows:
+            return "[]"
+        texts = [
+            _json_texts(self.columns[name]) for name, _ in TABLE_SCHEMAS[self.name]
+        ]
+        return "[[" + "],[".join(map(",".join, zip(*texts))) + "]]"
 
     def to_payload(self) -> dict:
         return {
@@ -416,30 +484,42 @@ class ColumnarTable:
         }
 
     @classmethod
-    def from_rows(cls, name: str, rows: list) -> "ColumnarTable":
-        """Transpose wire rows into columns (dictionary-encoding as set
-        by the schema; AS-path dictionaries are first-appearance order)."""
-        schema = TABLE_SCHEMAS[name]
+    def from_columns(cls, name: str, values) -> "ColumnarTable":
+        """Typed columns from one value sequence per schema column, in
+        schema order (dictionary-encoding as set by the schema)."""
         columns: dict[str, Column | DictColumn] = {}
-        for position, (column_name, dtype) in enumerate(schema):
-            values = [row[position] for row in rows]
-            if dtype != "dict":
-                columns[column_name] = Column(column_name, dtype, values)
-                continue
-            if column_name in _FIXED_DICTIONARIES:
-                dictionary = list(_FIXED_DICTIONARIES[column_name])
-                positions = {value: i for i, value in enumerate(dictionary)}
+        for (column_name, dtype), column_values in zip(TABLE_SCHEMAS[name], values):
+            if dtype == "dict":
+                columns[column_name] = _dict_column(column_name, column_values)
             else:
-                dictionary, positions = [], {}
-            codes = []
-            for value in values:
-                key = tuple(value) if isinstance(value, list) else value
-                if key not in positions:
-                    positions[key] = len(dictionary)
-                    dictionary.append(value)
-                codes.append(positions[key])
-            columns[column_name] = DictColumn(column_name, codes, dictionary)
+                columns[column_name] = Column(column_name, dtype, column_values)
         return cls(name, columns)
+
+    @classmethod
+    def from_rows(cls, name: str, rows: list) -> "ColumnarTable":
+        """Transpose wire rows into columns."""
+        values = list(zip(*rows)) or [()] * len(TABLE_SCHEMAS[name])
+        return cls.from_columns(name, values)
+
+
+def _dict_column(name: str, values) -> DictColumn:
+    """Dictionary-encode ``values``.  A fixed vocabulary keeps its codes
+    (values outside it get the next ones); AS paths, as lists or tuples,
+    are coded in first-appearance order and stored as lists."""
+    fixed = _FIXED_DICTIONARIES.get(name)
+    if fixed is None:
+        keys = list(map(tuple, values))
+        positions = {key: code for code, key in enumerate(dict.fromkeys(keys))}
+        dictionary = [list(key) for key in positions]
+    else:
+        keys = values
+        positions = dict(_FIXED_POSITIONS[name])
+        dictionary = list(fixed)
+        for key in dict.fromkeys(keys):
+            if key not in positions:
+                positions[key] = len(dictionary)
+                dictionary.append(key)
+    return DictColumn(name, array("I", map(positions.__getitem__, keys)), dictionary)
 
 
 class ColumnarDatabase:
@@ -462,47 +542,6 @@ class ColumnarDatabase:
 
     def row_counts(self) -> dict[str, int]:
         return {name: table.n_rows for name, table in self.tables.items()}
-
-    @classmethod
-    def from_database(
-        cls, db: MeasurementDatabase, data: dict | None = None
-    ) -> "ColumnarDatabase":
-        """Encode a database by transposing its wire-form rows.
-
-        ``data`` is ``db.to_dict()`` when the caller already holds it.
-        """
-        _ENCODES.inc()
-        if data is None:
-            data = db.to_dict()
-        tables = {
-            name: ColumnarTable.from_rows(name, data.get(name, []))
-            for name in TABLE_SCHEMAS
-        }
-        return cls(vantage_name=data["vantage_name"], tables=tables)
-
-    def to_database(self) -> MeasurementDatabase:
-        """Decode back to row objects through the wire-format loader, so
-        the monotone-round invariants are re-validated and the rebuilt
-        database is bit-identical to the encoded one."""
-        from ..monitor.database import SERIAL_FORMAT
-
-        _DECODES.inc()
-        data = {
-            "format": SERIAL_FORMAT,
-            "vantage_name": self.vantage_name,
-            "dns": self.tables["dns"].rows(),
-            "dns_counts": self.tables["dns_counts"].rows(),
-            "page_checks": self.tables["page_checks"].rows(),
-            "downloads": self.tables["downloads"].rows(),
-            "paths": self.tables["paths"].rows(),
-        }
-        faults = self.tables["faults"].rows()
-        if faults:
-            data["faults"] = faults
-        transitions = self.tables["transitions"].rows()
-        if transitions:
-            data["transitions"] = transitions
-        return MeasurementDatabase.from_dict(data)
 
     def to_payload(self) -> dict:
         return {
@@ -556,60 +595,21 @@ class LazyColumnarDatabase(ColumnarDatabase):
 
 @dataclass
 class ColumnarRepository:
-    """A whole campaign — vantage roster plus columnar databases.
-
-    This is what the campaign store writes as ``columnar.bin``;
-    :meth:`to_repository` materialises the row-object
-    :class:`CentralRepository` when an analysis needs it.
-    """
+    """A whole campaign — vantage roster plus columnar databases — as the
+    campaign store writes it (``columnar.bin``)."""
 
     vantages: dict[str, dict] = field(default_factory=dict)
     databases: dict[str, ColumnarDatabase] = field(default_factory=dict)
 
     @classmethod
-    def from_repository(
-        cls, repository: CentralRepository, on_rows=None
-    ) -> "ColumnarRepository":
-        """Transpose every database, converting each to wire rows once.
-
-        ``on_rows(name, data)`` sees each database's ``to_dict()`` rows
-        before they are dropped, so a caller can encode the same rows
-        without a second conversion.  Each transpose is also memoised
-        on its database, so a later :func:`columnar_view` (the analysis
-        after a save) reuses it instead of encoding again.
-        """
+    def from_repository(cls, repository) -> "ColumnarRepository":
+        """A :class:`~repro.monitor.aggregate.CentralRepository`'s roster,
+        as wire dicts, around its own databases (nothing is copied)."""
         vantages, databases = {}, {}
-        for vantage, db in repository.items():
-            data = db.to_dict()
-            if on_rows is not None:
-                on_rows(vantage.name, data)
+        for vantage, cdb in repository.items():
             vantages[vantage.name] = vantage.to_dict()
-            cdb = ColumnarDatabase.from_database(db, data)
-            databases[vantage.name] = db._columnar_cache = cdb
-            del data  # one database's rows alive at a time
+            databases[vantage.name] = cdb
         return cls(vantages=vantages, databases=databases)
-
-    @classmethod
-    def from_views(cls, repository: CentralRepository) -> "ColumnarRepository":
-        """Every database's :func:`columnar_view`: transposes a save
-        already memoised are reused, the rest are encoded once."""
-        vantages, databases = {}, {}
-        for vantage, db in repository.items():
-            vantages[vantage.name] = vantage.to_dict()
-            databases[vantage.name] = columnar_view(db)
-        return cls(vantages=vantages, databases=databases)
-
-    def to_repository(self) -> CentralRepository:
-        """Rebuild the row objects; each rebuilt database memoises its
-        columnar source, so a later :func:`columnar_view` (the analysis
-        after a store hit) does not transpose again."""
-        repository = CentralRepository()
-        for name, vantage_data in self.vantages.items():
-            cdb = self.databases[name]
-            db = cdb.to_database()
-            db._columnar_cache = cdb
-            repository.add(VantagePoint.from_dict(vantage_data), db)
-        return repository
 
     def to_payload(self) -> dict:
         return {
@@ -621,18 +621,109 @@ class ColumnarRepository:
         }
 
 
-def columnar_view(db: MeasurementDatabase) -> ColumnarDatabase:
-    """The cached columnar view of a database (the query core's input).
+# ---------------------------------------------------------------------------
+# the write buffer's exit, and its invariants on decoded columns
 
-    Memoized on the database instance; any table write invalidates, so a
-    view taken after the campaign completes is encoded exactly once and
-    shared by every analysis pass.
+#: the row-object field behind each schema column, where the names differ.
+_ROW_FIELDS = {"round": "round_idx", "transition": "kind"}
+
+
+def _frozen_table(name: str, rows: list) -> ColumnarTable:
+    schema = TABLE_SCHEMAS[name]
+    if not rows:
+        return ColumnarTable.from_columns(name, [()] * len(schema))
+    by_field = dict(zip(rows[0]._fields, zip(*rows)))
+    return ColumnarTable.from_columns(
+        name, [by_field[_ROW_FIELDS.get(column, column)] for column, _ in schema]
+    )
+
+
+def columnar_view(db) -> ColumnarDatabase:
+    """A :class:`~repro.monitor.database.MeasurementDatabase` write
+    buffer's tables as columns, in wire row order.
+
+    Its :meth:`~repro.monitor.database.MeasurementDatabase.freeze` — the
+    buffer's one exit, taken once when a vantage's shard ends.  Grouped
+    tables concatenate their per-key row lists in first-appearance order
+    of the key; ``data.columnar.encodes`` counts the transposes.
     """
-    view = db._columnar_cache
-    if view is None:
-        view = ColumnarDatabase.from_database(db)
-        db._columnar_cache = view
-    return view
+    _ENCODES.inc()
+    counts = db.dns_counts
+    tables = {
+        "dns": _frozen_table("dns", list(chain.from_iterable(db.dns.values()))),
+        "dns_counts": ColumnarTable.from_columns(
+            "dns_counts",
+            [list(counts), *zip(*counts.values())] if counts else [()] * 4,
+        ),
+        "page_checks": _frozen_table(
+            "page_checks", list(chain.from_iterable(db.page_checks.values()))
+        ),
+        "downloads": _frozen_table(
+            "downloads", list(chain.from_iterable(db.downloads.values()))
+        ),
+        "paths": _frozen_table(
+            "paths", list(chain.from_iterable(db.paths.values()))
+        ),
+        "faults": _frozen_table("faults", db.faults),
+        "transitions": _frozen_table("transitions", db.transitions),
+    }
+    return ColumnarDatabase(db.vantage_name, tables)
+
+
+#: the key columns inside which each grouped table's rounds ascend.
+_GROUP_KEYS = {
+    "dns": ("site_id",),
+    "page_checks": ("site_id",),
+    "downloads": ("site_id", "family"),
+    "paths": ("site_id", "family"),
+}
+
+
+def check_round_order(cdb: ColumnarDatabase) -> None:
+    """Check decoded columns against the write buffer's invariants.
+
+    Within one site (``dns``, ``page_checks``) or one (site, family)
+    (``downloads``, ``paths``) rounds strictly ascend; ``faults`` and
+    ``transitions`` never go back a round; every family, fault kind and
+    transition kind is in its vocabulary.  Raises :class:`DataError`.
+    """
+    for name in TABLE_SCHEMAS:
+        table = cdb.tables[name]
+        for column_name, column in table.columns.items():
+            vocabulary = _FIXED_DICTIONARIES.get(column_name)
+            if vocabulary is None:
+                continue
+            unknown = [v for v in column.dictionary if v not in vocabulary]
+            if unknown:
+                raise DataError(
+                    f"{cdb.vantage_name}/{name}: unknown {column_name} "
+                    f"{unknown[0]!r}"
+                )
+        if name == "dns_counts":
+            continue
+        rounds = table.column("round").values
+        keys = _GROUP_KEYS.get(name)
+        if keys is None:
+            for row, (prev, cur) in enumerate(zip(rounds, rounds[1:])):
+                if prev > cur:
+                    raise DataError(
+                        f"{cdb.vantage_name}/{name}: row {row + 1} goes back "
+                        f"to round {cur} after {prev}"
+                    )
+            continue
+        key_columns = [
+            column.codes if isinstance(column, DictColumn) else column.values
+            for column in (table.column(key) for key in keys)
+        ]
+        last: dict = {}
+        for key, round_idx in zip(zip(*key_columns), rounds):
+            prev = last.get(key)
+            if prev is not None and prev >= round_idx:
+                raise DataError(
+                    f"{cdb.vantage_name}/{name}: out-of-order rows for "
+                    f"site {key[0]}: round {round_idx} after {prev}"
+                )
+            last[key] = round_idx
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ count.  :func:`series_index` groups a :class:`ColumnarDatabase`'s
 table, on first use, and memoises the result on the database object, so
 the analysis passes, the observer panel and the per-site accessors at
 the end of this module share one build per (table, vantage).  A
-columnar database is immutable once built (a table write produces a new
-view), so the memo never goes stale.
+columnar database is immutable once built (a write buffer freezes into
+a new one), so the memo never goes stale.  The module ends with the
+per-database tallies of Table 2, Fig 1 and the transition split.
 
 Rows keep ascending row id — the monitor's insertion (round) order —
-inside every series and every per-round group, so each float sum and
-each tie-break equals the one a filtered row-object query makes.
+inside every series and every per-round group, so each float sum runs
+and each tie-break falls in round order.
 ``data.series.builds`` counts table builds.  The dual-stack population
 alone (what a cold store load asks for) comes from whole-column filters
 and builds no series.
@@ -292,17 +293,13 @@ def series_index(cdb: ColumnarDatabase) -> SeriesIndex:
     return index
 
 
-# -- per-site accessors (re-exported by ``repro.data.query``) ---------------
-#
-# Each reproduces a :class:`~repro.monitor.database.MeasurementDatabase`
-# row-object query bit for bit.
+# -- per-site accessors ---------------------------------------------------------
 
 
 def converged_speeds(
     cdb: ColumnarDatabase, site_id: int, family: AddressFamily
 ) -> list[float]:
-    """Per-round mean speeds in round order (converged rounds only) —
-    :meth:`MeasurementDatabase.speeds`."""
+    """Per-round mean speeds in round order (converged rounds only)."""
     series = series_index(cdb).downloads.series(site_id, family)
     return series.speeds.tolist() if series else []
 
@@ -318,8 +315,8 @@ def download_rounds(
 def mean_speed(
     cdb: ColumnarDatabase, site_id: int, family: AddressFamily
 ) -> float | None:
-    """Mean of the converged per-round speeds, or None without data —
-    bit-identical to ``analysis.metrics.site_mean_speed``."""
+    """Mean of the converged per-round speeds (summed in round order), or
+    None without data."""
     series = series_index(cdb).downloads.series(site_id, family)
     return series.mean_speed if series else None
 
@@ -335,8 +332,7 @@ def dest_asn(
 def modal_as_path(
     cdb: ColumnarDatabase, site_id: int, family: AddressFamily
 ) -> tuple[int, ...] | None:
-    """The most frequently observed AS path (ties: latest wins) —
-    :meth:`MeasurementDatabase.as_path`."""
+    """The most frequently observed AS path (ties: latest wins)."""
     series = series_index(cdb).paths.series(site_id, family)
     return series.modal_path if series else None
 
@@ -353,3 +349,53 @@ def dual_stack_sites(cdb: ColumnarDatabase) -> list[int]:
     """Sites with converged download data in both families — the Table 2
     population, ascending."""
     return list(series_index(cdb).dual_stack_sites)
+
+
+# -- per-database tallies (Table 2, Fig 1, the transition split) ---------------
+
+
+def destination_ases(cdb: ColumnarDatabase, family: AddressFamily) -> set[int]:
+    """Distinct destination ASes (each site's latest) across measured
+    sites (Table 2)."""
+    return {
+        series.dest_asn
+        for series in series_index(cdb).paths.by_family[family].values()
+    }
+
+
+def ases_crossed(cdb: ColumnarDatabase, family: AddressFamily) -> set[int]:
+    """All ASes on any observed ``family`` path, destination included
+    (Table 2); the vantage point's own AS is not counted as crossed."""
+    table = cdb.table("paths")
+    family_column = table.column("family")
+    code = family_column.encode(family.value)
+    path_column = table.column("as_path")
+    crossed: set[int] = set()
+    if code is None:
+        return crossed
+    in_family = map(code.__eq__, family_column.codes)
+    for path_code in set(compress(path_column.codes, in_family)):
+        crossed.update(path_column.dictionary[path_code][1:])
+    return crossed
+
+
+def v6_reachability(cdb: ColumnarDatabase, round_idx: int) -> float:
+    """AAAA share among the round's *top-list* queries (Fig 1's metric).
+
+    Previously-seen and externally-imported sites keep being monitored
+    but do not enter this fraction, matching the paper's definition over
+    the current top list; a round without queries reads 0.
+    """
+    table = cdb.table("dns_counts")
+    for row in table.index().equal_range((round_idx,)):
+        queried = table.column("queried").get(row)
+        return table.column("with_aaaa").get(row) / queried if queried else 0.0
+    return 0.0
+
+
+def transition_counts(cdb: ColumnarDatabase) -> dict[str, int]:
+    """IPv6 transition-kind row counts over the whole campaign."""
+    column = cdb.table("transitions").column("transition")
+    return {
+        column.dictionary[code]: n for code, n in Counter(column.codes).items()
+    }

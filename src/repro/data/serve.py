@@ -63,11 +63,11 @@ from urllib.parse import parse_qsl, urlparse
 from ..analysis.classify import classify_sites
 from ..engine.store import DEFAULT_CACHE_ROOT, CampaignStore
 from ..errors import ConfigError, DataError
-from ..monitor.database import MeasurementDatabase
 from ..obs import get_logger, metrics, span
 from ..observers import all_observers, get_observer, observer_names, run_observer
 from .columnar import ColumnarDatabase, ColumnarRepository
 from .query import MAX_QUERY_ROWS, Query, run_query
+from .series import dual_stack_sites
 
 _LOG = get_logger("data.serve")
 
@@ -200,10 +200,6 @@ class LoadedCampaign:
     meta: dict
     vantages: dict[str, dict]
     columnar: dict[str, ColumnarDatabase]
-    #: row-object databases, materialised per vantage on first use.
-    _databases: dict[str, MeasurementDatabase] = field(default_factory=dict)
-    #: guards the lazy materialisation under concurrent requests.
-    _db_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def columnar_for(self, vantage: str | None) -> ColumnarDatabase:
         if vantage is None:
@@ -214,18 +210,6 @@ class LoadedCampaign:
                 f"(vantages: {', '.join(sorted(self.columnar))})"
             )
         return self.columnar[vantage]
-
-    def database_for(self, vantage: str | None) -> MeasurementDatabase:
-        cdb = self.columnar_for(vantage)
-        with self._db_lock:
-            if vantage not in self._databases:
-                # Memoise the loaded columns on the rebuilt database (as
-                # ColumnarRepository.to_repository does), so an analysis
-                # over it does not transpose the rows back again.
-                db = cdb.to_database()
-                db._columnar_cache = cdb
-                self._databases[vantage] = db
-            return self._databases[vantage]
 
 
 class _Flight:
@@ -444,17 +428,17 @@ def query_digest(
     return hashlib.sha256(canonical_json(envelope)).hexdigest()
 
 
-def classification_payload(db: MeasurementDatabase) -> dict:
+def classification_payload(cdb: ColumnarDatabase) -> dict:
     """Fig-4 site classification of one vantage, as a JSON-ready dict.
 
     Computed through ``analysis.classify`` (which reads the columnar
     series index) over the dual-stack population; the CI serve-smoke job
-    byte-compares this payload computed from the columnar store against
-    the same payload computed from the row-object repository.
+    byte-compares this payload served from a store entry against the
+    same payload computed from a fresh in-process campaign.
     """
-    classifications = classify_sites(db, db.dual_stack_sites())
+    classifications = classify_sites(cdb, dual_stack_sites(cdb))
     return {
-        "vantage": db.vantage_name,
+        "vantage": cdb.vantage_name,
         "n_sites": len(classifications),
         "sites": [
             {
@@ -784,9 +768,9 @@ class ServeApp:
     ) -> dict:
         if name != "classify":
             raise _not_found(f"unknown analysis endpoint {name!r}")
-        db = campaign.database_for(params.get("vantage"))
-        with span("serve.classify", vantage=db.vantage_name):
-            return classification_payload(db)
+        cdb = campaign.columnar_for(params.get("vantage"))
+        with span("serve.classify", vantage=cdb.vantage_name):
+            return classification_payload(cdb)
 
     # -- parameter plumbing --------------------------------------------------
 

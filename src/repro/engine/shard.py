@@ -6,13 +6,12 @@ central repository.  A :class:`VantageShard` captures one vantage point's
 share of a campaign as plain data (scenario config, vantage name, round
 count, RNG stream name), so it can be executed in-process or pickled to a
 worker process; :func:`execute_shard` turns a shard into a
-:class:`ShardResult` carrying the shard's
-:class:`~repro.monitor.database.MeasurementDatabase` itself, plus the
-compact dict forms of the vantage and its
-:class:`~repro.monitor.tool.RoundReport` s.  In process the database is
-handed over as is; crossing to a worker's parent it pickles to its wire
-form (``MeasurementDatabase.__reduce__``), the same rows the on-disk
-campaign store holds.
+:class:`ShardResult` carrying the shard's measurement tables, frozen
+into a :class:`~repro.data.columnar.ColumnarDatabase` when the shard
+ends, plus the compact dict forms of the vantage and its
+:class:`~repro.monitor.tool.RoundReport` s.  In process the columns are
+handed over as is; crossing to a worker's parent they pickle as their
+typed arrays.
 
 Determinism: each vantage draws from its own named RNG stream, round
 noise is derived per (site, family, round) from the master seed, and the
@@ -32,10 +31,10 @@ import time
 from dataclasses import dataclass, replace
 
 from ..config import ScenarioConfig
+from ..data.columnar import ColumnarDatabase
 from ..dataplane.clock import SimulationClock
 from ..dns.resolver import Resolver
 from ..errors import EngineError
-from ..monitor.database import MeasurementDatabase
 from ..monitor.tool import MonitoringTool, RoundReport, VantageEnvironment
 from ..monitor.vantage import VantagePoint
 from ..net.addresses import AddressFamily
@@ -71,11 +70,11 @@ class VantageShard:
 
 @dataclass
 class ShardResult:
-    """What one executed shard sends back: its database, plus JSON-ready
-    vantage and report payloads."""
+    """What one executed shard sends back: its frozen tables, plus
+    JSON-ready vantage and report payloads."""
 
     vantage: dict
-    database: MeasurementDatabase
+    database: ColumnarDatabase
     reports: list[dict]
     wall_seconds: float
 
@@ -148,6 +147,7 @@ def execute_shard(shard: VantageShard, world=None) -> ShardResult:
             vantage, database, reports = _run_w6d_shard(world, shard)
         else:
             vantage, database, reports = _run_weekly_shard(world, shard)
+        columns = database.freeze()
     wall = time.perf_counter() - started
     _LOG.info(
         "shard complete",
@@ -161,7 +161,7 @@ def execute_shard(shard: VantageShard, world=None) -> ShardResult:
     )
     return ShardResult(
         vantage=vantage.to_dict(),
-        database=database,
+        database=columns,
         reports=[r.to_dict() for r in reports],
         wall_seconds=wall,
     )

@@ -18,11 +18,14 @@ Layout (one directory per campaign)::
     <root>/staging/        saves in progress (never listed as entries),
                            each named ``<digest>.<pid>.<random>``
 
-``columnar.bin`` is the only copy of the measurement data: every load
-decodes it (sha256-verified, lazily per table) and rebuilds row objects
-through :meth:`ColumnarRepository.to_repository` when a caller needs
-them.  A missing, truncated or corrupt binary makes the entry a warned
-miss; the recomputed campaign's save replaces it.  The world pickle is
+``columnar.bin`` is the only copy of the measurement data, written
+straight from the campaign's frozen columns: every load decodes it
+(sha256-verified, lazily per table) and hands the decoded columns to
+the caller as they are; no load rebuilds row objects.  A missing,
+truncated or corrupt binary makes the entry a warned miss; so does one
+whose tables break the monitor's round order (checked on the columns by
+:meth:`CampaignStore.load` and :meth:`CampaignStore.load_repository`).
+The recomputed campaign's save replaces it.  The world pickle is
 an optimisation only: when it is missing or unreadable the world is
 rebuilt from the config and the stored measurement data is still used.
 
@@ -49,10 +52,12 @@ import tempfile
 from dataclasses import dataclass
 
 from ..config import ScenarioConfig
+from ..data import columnar as _columnar
 from ..errors import ReproError
-from ..monitor.aggregate import CentralRepository, WireEncoding
+from ..monitor.aggregate import CentralRepository
 from ..monitor.database import SERIAL_FORMAT
 from ..monitor.tool import RoundReport
+from ..monitor.vantage import VantagePoint
 from ..obs import get_logger, metrics, span
 
 _LOG = get_logger("engine.store")
@@ -242,8 +247,8 @@ class CampaignStore:
                 result = read(entry)
             except (OSError, ValueError, KeyError, TypeError, ReproError) as exc:
                 # DataError (a ReproError) covers every columnar.bin
-                # failure; a MonitorError a rebuilt table that breaks the
-                # database invariants; the rest a malformed reports.json.
+                # failure, including tables that break the round order;
+                # the rest a malformed reports.json.
                 _LOG.warning(
                     "unreadable store entry; treating as miss",
                     extra={"digest": digest[:12], "error": str(exc)},
@@ -254,13 +259,28 @@ class CampaignStore:
         return meta, result
 
     @staticmethod
-    def _read_columnar(entry: pathlib.Path):
-        """The entry's ``columnar.bin``, sha256-verified and lazily decoded."""
-        from ..data.columnar import load_columnar_binary
+    def _read_columnar(entry: pathlib.Path) -> _columnar.ColumnarRepository:
+        """The entry's ``columnar.bin``, sha256-verified and lazily decoded.
 
-        columnar = load_columnar_binary(entry / "columnar.bin")
+        The codec functions are looked up on their module at call time
+        (here and in :meth:`_save_tables`), so a wrapper installed there
+        sees every store read and write.
+        """
+        columnar = _columnar.load_columnar_binary(entry / "columnar.bin")
         _BIN_LOADS.inc()
         return columnar
+
+    @classmethod
+    def _read_repository(cls, entry: pathlib.Path) -> CentralRepository:
+        """The entry's repository over its decoded columns, every table
+        checked against the monitor's round order."""
+        columnar = cls._read_columnar(entry)
+        repository = CentralRepository()
+        for name, vantage_data in columnar.vantages.items():
+            cdb = columnar.databases[name]
+            _columnar.check_round_order(cdb)
+            repository.add(VantagePoint.from_dict(vantage_data), cdb)
+        return repository
 
     def load(
         self, config: ScenarioConfig, kind: str = "weekly"
@@ -269,7 +289,7 @@ class CampaignStore:
         digest = config_digest(config, kind)
 
         def read(entry: pathlib.Path):
-            repository = self._read_columnar(entry).to_repository()
+            repository = self._read_repository(entry)
             reports_data = json.loads(
                 (entry / "reports.json").read_text(encoding="utf-8")
             )
@@ -315,7 +335,7 @@ class CampaignStore:
         loaded = self._read(
             digest,
             "engine.store.load_repository",
-            lambda entry: self._read_columnar(entry).to_repository(),
+            self._read_repository,
         )
         return None if loaded is None else loaded[1]
 
@@ -492,23 +512,17 @@ class CampaignStore:
     def _save_tables(
         entry: pathlib.Path, repository: CentralRepository, digest: str
     ) -> str:
-        """Write ``columnar.bin`` from one wire conversion per database;
-        returns the repository's content digest, hashed from the same
-        wire rows.  (Lazy import: ``repro.data`` itself imports the
-        monitor this module already depends on.)
-        """
-        from ..data.columnar import ColumnarRepository, write_columnar_binary
-
-        encoding = WireEncoding(repository)
-        columnar = ColumnarRepository.from_repository(
-            repository, on_rows=encoding.add
+        """Write ``columnar.bin`` from the repository's columns; returns
+        the repository's content digest."""
+        columnar = _columnar.ColumnarRepository.from_repository(repository)
+        bin_digest = _columnar.write_columnar_binary(
+            entry / "columnar.bin", columnar
         )
-        bin_digest = write_columnar_binary(entry / "columnar.bin", columnar)
         _LOG.debug(
             "columnar artifact written",
             extra={"digest": digest[:12], "bin_digest": bin_digest[:12]},
         )
-        return encoding.content_digest()
+        return repository.content_digest()
 
     @staticmethod
     def _save_world(path: pathlib.Path, world, digest: str) -> None:

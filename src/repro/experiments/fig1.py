@@ -9,6 +9,7 @@ catalog's ground truth.
 
 from __future__ import annotations
 
+from ..data.series import v6_reachability
 from .report import Table, pct
 from .scenario import ExperimentData, get_experiment_data
 
@@ -29,7 +30,7 @@ def reachability_series(data: ExperimentData) -> list[tuple[int, float, float]]:
     db = data.repository.database("Penn")
     out: list[tuple[int, float, float]] = []
     for round_idx in range(data.config.campaign.n_rounds):
-        measured = db.v6_reachability(round_idx)
+        measured = v6_reachability(db, round_idx)
         truth = world.catalog.accessible_fraction(round_idx)
         out.append((round_idx, measured, truth))
     return out

@@ -25,8 +25,9 @@ from ..analysis.hypotheses import ASEvaluation, evaluate_groups
 from ..config import ExecutionConfig, FaultConfig, ScenarioConfig, default_config
 from ..core.campaign import CampaignResult, run_campaign, run_world_ipv6_day
 from ..core.world import build_world
+from ..data.columnar import ColumnarDatabase
+from ..data.series import dual_stack_sites
 from ..engine import DEFAULT_CACHE_ROOT, W6D, WEEKLY, CampaignStore
-from ..monitor.database import MeasurementDatabase
 from ..monitor.vantage import VantagePoint
 from ..obs import get_logger, metrics, span
 
@@ -76,7 +77,7 @@ class AnalysisContext:
     """Per-vantage precomputed analysis layers."""
 
     vantage: VantagePoint
-    db: MeasurementDatabase
+    db: ColumnarDatabase
     screenings: dict[int, SiteScreening]
     kept: list[int]
     classifications: dict[int, SiteClassification]
@@ -86,7 +87,7 @@ class AnalysisContext:
 
     @property
     def dual_stack_sites(self) -> list[int]:
-        return self.db.dual_stack_sites()
+        return dual_stack_sites(self.db)
 
     def sites_in(self, category: SiteCategory) -> list[int]:
         return sites_in_category(self.classifications, category)
@@ -127,7 +128,7 @@ def build_contexts(
     with span("analysis.contexts", vantages=len(campaign.repository.vantage_names)):
         for vantage, db in campaign.repository.analysis_items():
             with span("analysis.vantage", vantage=vantage.name):
-                dual_stack = db.dual_stack_sites()
+                dual_stack = dual_stack_sites(db)
                 screenings = screen_all(
                     db, dual_stack, config.monitor, config.analysis
                 )

@@ -7,6 +7,7 @@ from each AS_PATH vantage point and across all of them.
 
 from __future__ import annotations
 
+from ..data.series import ases_crossed, destination_ases
 from ..net.addresses import AddressFamily
 from .report import Table
 from .scenario import ExperimentData, get_experiment_data
@@ -50,8 +51,8 @@ def profile_rows(data: ExperimentData) -> dict[str, list[object]]:
             (AddressFamily.IPV4, "Dest ASes (IPv4)", "ASes crossed (IPv4)"),
             (AddressFamily.IPV6, "Dest ASes (IPv6)", "ASes crossed (IPv6)"),
         ):
-            dest = db.destination_ases(family)
-            crossed = db.ases_crossed(family)
+            dest = destination_ases(db, family)
+            crossed = ases_crossed(db, family)
             rows[dest_label].append(len(dest))
             rows[crossed_label].append(len(crossed))
             union[dest_label] |= dest

@@ -13,21 +13,38 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from ..data.columnar import (
+    TABLE_SCHEMAS,
+    ColumnarDatabase,
+    encode_compact,
+    iter_json_object,
+)
 from ..errors import MonitorError
-from .database import MeasurementDatabase
+from .database import SERIAL_FORMAT
 from .vantage import VantagePoint
 
-#: the compact wire encoding, run by the one-shot C encoder.
-encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+#: tables a database's wire form carries only when they hold rows, so
+#: campaigns without faults or the NAT64 axis keep their historical
+#: canonical form (and content digest) bit for bit.
+_OPTIONAL_TABLES = ("faults", "transitions")
 
 
-def iter_json_object(members):
-    """Chunks of one compact JSON object from ``(key, value chunks)`` pairs."""
-    yield "{"
-    for i, (key, chunks) in enumerate(members):
-        yield ("," if i else "") + encode_compact(key) + ":"
-        yield from chunks
-    yield "}"
+def _wire_keys(cdb: ColumnarDatabase) -> list[str]:
+    """The keys of one database's wire form, in insertion order."""
+    return ["format", "vantage_name"] + [
+        name
+        for name in TABLE_SCHEMAS
+        if name not in _OPTIONAL_TABLES or cdb.tables[name].n_rows
+    ]
+
+
+def _wire_value(cdb: ColumnarDatabase, key: str):
+    """One wire value: the format, the vantage name, or a table's rows."""
+    if key == "format":
+        return SERIAL_FORMAT
+    if key == "vantage_name":
+        return cdb.vantage_name
+    return cdb.tables[key].rows()
 
 
 @dataclass
@@ -35,9 +52,9 @@ class CentralRepository:
     """Aggregated measurement data across vantage points."""
 
     _vantages: dict[str, VantagePoint] = field(default_factory=dict)
-    _databases: dict[str, MeasurementDatabase] = field(default_factory=dict)
+    _databases: dict[str, ColumnarDatabase] = field(default_factory=dict)
 
-    def add(self, vantage: VantagePoint, database: MeasurementDatabase) -> None:
+    def add(self, vantage: VantagePoint, database: ColumnarDatabase) -> None:
         if vantage.name in self._vantages:
             raise MonitorError(f"vantage {vantage.name!r} already registered")
         if database.vantage_name != vantage.name:
@@ -57,7 +74,7 @@ class CentralRepository:
             raise MonitorError(f"unknown vantage {name!r}")
         return self._vantages[name]
 
-    def database(self, name: str) -> MeasurementDatabase:
+    def database(self, name: str) -> ColumnarDatabase:
         if name not in self._databases:
             raise MonitorError(f"unknown vantage {name!r}")
         return self._databases[name]
@@ -70,61 +87,70 @@ class CentralRepository:
         """
         return [v for v in self._vantages.values() if v.as_path_available]
 
-    def items(self) -> list[tuple[VantagePoint, MeasurementDatabase]]:
+    def items(self) -> list[tuple[VantagePoint, ColumnarDatabase]]:
         return [
             (self._vantages[name], self._databases[name])
             for name in self._vantages
         ]
 
-    def analysis_items(self) -> list[tuple[VantagePoint, MeasurementDatabase]]:
+    def analysis_items(self) -> list[tuple[VantagePoint, ColumnarDatabase]]:
         return [
             (vantage, self._databases[vantage.name])
             for vantage in self.analysis_vantages()
         ]
 
     def common_dual_stack_sites(self) -> set[int]:
-        """Sites measured dual-stack from every analysis vantage point.
-
-        Reads each vantage's columnar series index (one pass over its
-        downloads table) — lazily imported because ``repro.data``
-        imports this module.
-        """
-        from ..data.columnar import columnar_view
+        """Sites measured dual-stack from every analysis vantage point
+        (one pass over each vantage's downloads table).  Lazily imported:
+        ``repro.data.series`` is not needed to build a repository."""
         from ..data.series import dual_stack_sites
 
         items = self.analysis_items()
         if not items:
             return set()
-        common = set(dual_stack_sites(columnar_view(items[0][1])))
-        for _, db in items[1:]:
-            common &= set(dual_stack_sites(columnar_view(db)))
+        common = set(dual_stack_sites(items[0][1]))
+        for _, cdb in items[1:]:
+            common &= set(dual_stack_sites(cdb))
         return common
 
     def __len__(self) -> int:
         return len(self._vantages)
 
-    # -- serialization ------------------------------------------------------------
+    # -- the content digest ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-ready form: vantage roster plus every database."""
+        """The wire form: vantage roster plus every database's tables as
+        rows (the content digest's definition)."""
         return {
             "vantages": [v.to_dict() for v in self._vantages.values()],
             "databases": {
-                name: db.to_dict() for name, db in self._databases.items()
+                name: {key: _wire_value(cdb, key) for key in _wire_keys(cdb)}
+                for name, cdb in self._databases.items()
             },
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CentralRepository":
-        """Rebuild a repository from :meth:`to_dict` output."""
-        repository = cls()
-        for vantage_data in data["vantages"]:
-            vantage = VantagePoint.from_dict(vantage_data)
-            repository.add(
-                vantage,
-                MeasurementDatabase.from_dict(data["databases"][vantage.name]),
-            )
-        return repository
+    def iter_canonical_json(self):
+        """Chunks of ``json.dumps(to_dict(), sort_keys=True,
+        separators=(",", ":"))``, streamed from the columns one table at a
+        time (wire values are scalars or lists, which ``sort_keys`` leaves
+        untouched)."""
+
+        def members(cdb: ColumnarDatabase):
+            for key in sorted(_wire_keys(cdb)):
+                if key in cdb.tables:
+                    yield key, (cdb.tables[key].rows_json(),)
+                else:
+                    yield key, (encode_compact(_wire_value(cdb, key)),)
+
+        yield '{"databases":'
+        yield from iter_json_object(
+            (name, iter_json_object(members(self._databases[name])))
+            for name in sorted(self._databases)
+        )
+        vantages = [v.to_dict() for v in self._vantages.values()]
+        yield ',"vantages":' + json.dumps(
+            vantages, sort_keys=True, separators=(",", ":")
+        ) + "}"
 
     def content_digest(self) -> str:
         """SHA-256 over the canonical JSON form of every table.
@@ -134,51 +160,7 @@ class CentralRepository:
         process) produced them — the engine's equivalence tests and the
         CI serial-vs-process gate compare exactly this value.
         """
-        encoding = WireEncoding(self)
-        for name, db in self._databases.items():
-            encoding.add(name, db.to_dict())
-        return encoding.content_digest()
-
-
-class WireEncoding:
-    """A repository's :meth:`~CentralRepository.to_dict` form, JSON-encoded
-    once per table.
-
-    The compact :meth:`iter_json` text and the sorted-key text behind
-    :meth:`content_digest` are both framed from the same encoded tables.
-    Wire values are scalars or lists, which ``sort_keys`` leaves untouched.
-    """
-
-    def __init__(self, repository: CentralRepository) -> None:
-        self.vantages = [v.to_dict() for v in repository._vantages.values()]
-        #: vantage name -> wire key -> its encoded JSON value.
-        self.databases: dict[str, dict[str, str]] = {}
-
-    def add(self, name: str, data: dict) -> None:
-        """Encode one database's :meth:`MeasurementDatabase.to_dict` output."""
-        self.databases[name] = {
-            key: encode_compact(value) for key, value in data.items()
-        }
-
-    def _iter_databases(self, order):
-        return iter_json_object(
-            (name, iter_json_object((key, (tables[key],)) for key in order(tables)))
-            for name, tables in order(self.databases.items())
-        )
-
-    def iter_json(self):
-        """Chunks of ``json.dumps(to_dict(), separators=(",", ":"))``."""
-        yield '{"vantages":' + encode_compact(self.vantages) + ',"databases":'
-        yield from self._iter_databases(list)
-        yield "}"
-
-    def content_digest(self) -> str:
-        """:meth:`CentralRepository.content_digest`: the same dict dumped
-        with ``sort_keys=True``, hashed chunk by chunk (``ensure_ascii``
-        keeps every chunk ASCII)."""
-        vantages = json.dumps(self.vantages, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(b'{"databases":')
-        for chunk in self._iter_databases(sorted):
+        digest = hashlib.sha256()
+        for chunk in self.iter_canonical_json():
             digest.update(chunk.encode("ascii"))
-        digest.update(f',"vantages":{vantages}}}'.encode("ascii"))
         return digest.hexdigest()

@@ -4,7 +4,7 @@ The paper's Section 5.5 laments that "the currently limited public access
 to its data ... would obviously be required to allow independent
 validation of the findings" and promises a public repository.  This
 module delivers that for the reproduction: every table of a
-:class:`~repro.monitor.database.MeasurementDatabase` exports to CSV, and
+:class:`~repro.data.columnar.ColumnarDatabase` exports to CSV, and
 a whole repository exports to a directory tree (one folder per vantage
 point) plus a JSON manifest.
 """
@@ -14,11 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
+from collections import Counter
 from typing import Iterable
 
+from ..data.columnar import ColumnarDatabase
 from ..errors import MonitorError
 from .aggregate import CentralRepository
-from .database import MeasurementDatabase
 
 #: schema version written into manifests, bumped on format changes.
 EXPORT_FORMAT_VERSION = 1
@@ -35,108 +36,102 @@ def _write_csv(path: pathlib.Path, header: Iterable[str], rows) -> int:
     return count
 
 
-def export_downloads_csv(db: MeasurementDatabase, path: pathlib.Path) -> int:
-    """Write the download-statistics table; returns the row count."""
-    def rows():
-        for (site_id, family), observations in sorted(
-            db.downloads.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-        ):
-            for obs in observations:
-                yield (
-                    site_id,
-                    family.value,
-                    obs.round_idx,
-                    obs.n_samples,
-                    f"{obs.mean_speed:.4f}",
-                    f"{obs.ci_half_width:.4f}",
-                    int(obs.converged),
-                    obs.page_bytes,
-                    f"{obs.timestamp:.1f}",
-                )
+def _rows(db: ColumnarDatabase, table: str, *columns: str):
+    """Each row's decoded values of ``columns``, in row order."""
+    source = db.table(table)
+    return zip(*(source.column(name).values_list() for name in columns))
 
+
+def _by_key(rows, width: int) -> list:
+    """``rows`` ordered by their first ``width`` values; rows of one key
+    keep their (round) order."""
+    return sorted(rows, key=lambda row: row[:width])
+
+
+def export_downloads_csv(db: ColumnarDatabase, path: pathlib.Path) -> int:
+    """Write the download-statistics table; returns the row count."""
+    rows = _rows(
+        db, "downloads", "site_id", "family", "round", "n_samples",
+        "mean_speed", "ci_half_width", "converged", "page_bytes", "timestamp",
+    )
     return _write_csv(
         path,
         (
             "site_id", "family", "round", "n_samples", "mean_speed_kbps",
             "ci_half_width", "converged", "page_bytes", "timestamp",
         ),
-        rows(),
+        (
+            (
+                site_id, family, round_idx, n_samples, f"{mean_speed:.4f}",
+                f"{ci_half_width:.4f}", int(converged), page_bytes,
+                f"{timestamp:.1f}",
+            )
+            for (
+                site_id, family, round_idx, n_samples, mean_speed,
+                ci_half_width, converged, page_bytes, timestamp,
+            ) in _by_key(rows, 2)
+        ),
     )
 
 
-def export_paths_csv(db: MeasurementDatabase, path: pathlib.Path) -> int:
+def export_paths_csv(db: ColumnarDatabase, path: pathlib.Path) -> int:
     """Write the AS-path table; paths are space-separated ASNs."""
-    def rows():
-        for (site_id, family), observations in sorted(
-            db.paths.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-        ):
-            for obs in observations:
-                yield (
-                    site_id,
-                    family.value,
-                    obs.round_idx,
-                    obs.dest_asn,
-                    " ".join(str(asn) for asn in obs.as_path),
-                )
-
+    rows = _rows(db, "paths", "site_id", "family", "round", "dest_asn", "as_path")
     return _write_csv(
-        path, ("site_id", "family", "round", "dest_asn", "as_path"), rows()
+        path,
+        ("site_id", "family", "round", "dest_asn", "as_path"),
+        (
+            (site_id, family, round_idx, dest_asn, " ".join(map(str, as_path)))
+            for site_id, family, round_idx, dest_asn, as_path in _by_key(rows, 2)
+        ),
     )
 
 
-def export_dns_csv(db: MeasurementDatabase, path: pathlib.Path) -> int:
+def export_dns_csv(db: ColumnarDatabase, path: pathlib.Path) -> int:
     """Write per-round DNS counters (the Fig 1 series source)."""
-    def rows():
-        for round_idx in sorted(db.dns_counts):
-            queried, v4, v6 = db.dns_counts[round_idx]
-            yield (round_idx, queried, v4, v6)
-
-    return _write_csv(path, ("round", "queried", "with_a", "with_aaaa"), rows())
-
-
-def export_page_checks_csv(db: MeasurementDatabase, path: pathlib.Path) -> int:
-    """Write the page-identity check table."""
-    def rows():
-        for site_id in sorted(db.page_checks):
-            for check in db.page_checks[site_id]:
-                yield (
-                    site_id,
-                    check.round_idx,
-                    check.v4_bytes,
-                    check.v6_bytes,
-                    int(check.identical),
-                )
-
+    rows = _rows(db, "dns_counts", "round", "queried", "with_a", "with_aaaa")
     return _write_csv(
-        path, ("site_id", "round", "v4_bytes", "v6_bytes", "identical"), rows()
+        path, ("round", "queried", "with_a", "with_aaaa"), _by_key(rows, 1)
     )
 
 
-def export_faults_csv(db: MeasurementDatabase, path: pathlib.Path) -> int:
+def export_page_checks_csv(db: ColumnarDatabase, path: pathlib.Path) -> int:
+    """Write the page-identity check table."""
+    rows = _rows(
+        db, "page_checks", "site_id", "round", "v4_bytes", "v6_bytes", "identical"
+    )
+    return _write_csv(
+        path,
+        ("site_id", "round", "v4_bytes", "v6_bytes", "identical"),
+        (
+            (site_id, round_idx, v4_bytes, v6_bytes, int(identical))
+            for site_id, round_idx, v4_bytes, v6_bytes, identical
+            in _by_key(rows, 1)
+        ),
+    )
+
+
+def export_faults_csv(db: ColumnarDatabase, path: pathlib.Path) -> int:
     """Write per-round failure counters, one row per (round, family, kind)."""
-    counts: dict[tuple[int, str, str], int] = {}
-    for obs in db.faults:
-        key = (obs.round_idx, obs.family.value, obs.kind)
-        counts[key] = counts.get(key, 0) + 1
-
-    def rows():
-        for (round_idx, family, kind) in sorted(counts):
-            yield (round_idx, family, kind, counts[(round_idx, family, kind)])
-
-    return _write_csv(path, ("round", "family", "kind", "count"), rows())
+    counts = Counter(_rows(db, "faults", "round", "family", "kind"))
+    return _write_csv(
+        path,
+        ("round", "family", "kind", "count"),
+        ((*key, counts[key]) for key in sorted(counts)),
+    )
 
 
-def export_transitions_csv(db: MeasurementDatabase, path: pathlib.Path) -> int:
+def export_transitions_csv(db: ColumnarDatabase, path: pathlib.Path) -> int:
     """Write the per-(site, round) IPv6 transition-kind table."""
-    def rows():
-        for obs in db.transitions:
-            yield (obs.site_id, obs.round_idx, obs.kind)
-
-    return _write_csv(path, ("site_id", "round", "transition"), rows())
+    return _write_csv(
+        path,
+        ("site_id", "round", "transition"),
+        _rows(db, "transitions", "site_id", "round", "transition"),
+    )
 
 
 def export_database(
-    db: MeasurementDatabase, directory: pathlib.Path
+    db: ColumnarDatabase, directory: pathlib.Path
 ) -> dict[str, int]:
     """Export one vantage point's database; returns per-table row counts.
 
@@ -151,9 +146,9 @@ def export_database(
         "dns": export_dns_csv(db, directory / "dns.csv"),
         "page_checks": export_page_checks_csv(db, directory / "page_checks.csv"),
     }
-    if db.faults:
+    if db.table("faults").n_rows:
         counts["faults"] = export_faults_csv(db, directory / "faults.csv")
-    if db.transitions:
+    if db.table("transitions").n_rows:
         counts["transitions"] = export_transitions_csv(
             db, directory / "transitions.csv"
         )

@@ -32,11 +32,10 @@ execution backends.
 from __future__ import annotations
 
 from ..analysis.hopcount import BUCKETS, bucket_of
-from ..data.columnar import ColumnarRepository
+from ..data.columnar import TRANSITION_KINDS, ColumnarRepository
 from ..data.query import gather, scan
 from ..data.query import run_query  # noqa: F401  (a perfbench timer target)
 from ..data.series import series_index
-from ..monitor.database import TRANSITION_KINDS
 from ..net.addresses import AddressFamily
 from .registry import register
 

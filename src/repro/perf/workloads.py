@@ -313,13 +313,11 @@ def query(seed: int, scale: float) -> WorkloadResult:
     """The columnar query core over a full campaign's tables.
 
     Runs the frozen query battery (:func:`_query_battery`) against
-    every vantage's columnar view.  The gate counters are ``data.query.*``:
+    every vantage's columnar database.  The gate counters are ``data.query.*``:
     scans, rows scanned, index hits, and groups emitted are exact
     integers for a fixed (seed, scale), and the index-hit fraction
     asserts the predicate pushdown stays wired in.
     """
-    from ..data.columnar import columnar_view
-
     obs.reset()
     obs.enable()
     config = small_config(seed=seed, scale=scale)
@@ -328,8 +326,8 @@ def query(seed: int, scale: float) -> WorkloadResult:
     t0 = time.perf_counter()
     n_queries = 0
     n_sites = 0
-    for _, db in result.repository.items():
-        sites, queries = _query_battery(columnar_view(db))
+    for _, cdb in result.repository.items():
+        sites, queries = _query_battery(cdb)
         n_sites += sites
         n_queries += queries
     wall = time.perf_counter() - t0
@@ -413,14 +411,14 @@ def dns64(seed: int, scale: float) -> WorkloadResult:
     Runs the campaign with DNS64 enabled — every v4-only site answers
     AAAA queries with a synthesized ``64:ff9b::/96`` address and is
     fetched through the translated forwarding path — then replays the
-    frozen query battery (:func:`_query_battery`) over the transitions-bearing columnar views.  The
+    frozen query battery (:func:`_query_battery`) over the transitions-bearing databases.  The
     gates assert the axis actually engaged (nonzero synthesis counters,
     transitions recorded) and that the extra table leaves the query
     core's index-hit fraction at the plain-campaign floor.
     """
     import dataclasses
 
-    from ..data.columnar import columnar_view
+    from ..data.series import transition_counts
 
     obs.reset()
     obs.enable()
@@ -434,10 +432,10 @@ def dns64(seed: int, scale: float) -> WorkloadResult:
     n_transitions = 0
     n_translated = 0
     n_queries = 0
-    for _, db in result.repository.items():
-        n_transitions += len(db.transitions)
-        n_translated += db.transition_counts().get("translated", 0)
-        n_queries += _query_battery(columnar_view(db))[1]
+    for _, cdb in result.repository.items():
+        n_transitions += cdb.table("transitions").n_rows
+        n_translated += transition_counts(cdb).get("translated", 0)
+        n_queries += _query_battery(cdb)[1]
     wall = time.perf_counter() - t0
     counters = _snapshot_counters()
     scans = counters["data.query.scans"]

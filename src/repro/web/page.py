@@ -30,15 +30,17 @@ class WebPage:
             return self.v4_bytes
         return self.v6_bytes
 
-    def relative_size_difference(self) -> float:
-        """``|v4 - v6|`` relative to the larger page."""
-        larger = max(self.v4_bytes, self.v6_bytes)
-        return abs(self.v4_bytes - self.v6_bytes) / larger
-
-    def identical_within(self, threshold: float) -> bool:
-        """The paper's identity check (byte counts within ``threshold``)."""
-        return self.relative_size_difference() <= threshold
-
     @classmethod
     def same_content(cls, size_bytes: int) -> "WebPage":
         return cls(v4_bytes=size_bytes, v6_bytes=size_bytes)
+
+
+def relative_size_difference(v4_bytes: int, v6_bytes: int) -> float:
+    """``|v4 - v6|`` relative to the larger page."""
+    return abs(v4_bytes - v6_bytes) / max(v4_bytes, v6_bytes)
+
+
+def identical_within(v4_bytes: int, v6_bytes: int, threshold: float) -> bool:
+    """The paper's identity check: the two byte counts differ by at most
+    ``threshold`` of the larger one."""
+    return relative_size_difference(v4_bytes, v6_bytes) <= threshold

@@ -1,4 +1,7 @@
-"""Builders for synthetic measurement databases used by analysis tests."""
+"""Builders for synthetic measurement databases used by analysis tests.
+
+Tests fill a write buffer with these helpers and hand the analysis its
+frozen columns (``db.freeze()``), as a campaign's shards do."""
 
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ def add_series(
     round on (a path-change event).
     """
     for round_idx, speed in enumerate(speeds):
-        db.add_download(
+        db.add_downloads([
             DownloadObservation(
                 site_id=site_id,
                 round_idx=round_idx,
@@ -44,11 +47,11 @@ def add_series(
                 page_bytes=1000,
                 timestamp=0.0,
             )
-        )
+        ])
         current = as_path
         if path_switch is not None and round_idx >= path_switch[0]:
             current = path_switch[1]
-        db.add_path(
+        db.add_paths([
             PathObservation(
                 site_id=site_id,
                 round_idx=round_idx,
@@ -56,7 +59,7 @@ def add_series(
                 dest_asn=current[-1],
                 as_path=current,
             )
-        )
+        ])
 
 
 def add_dual_series(

@@ -19,7 +19,7 @@ from .conftest import add_dual_series
 class TestClassifySite:
     def test_sp_site(self, db):
         add_dual_series(db, 1, [50.0] * 3, [49.0] * 3, v4_path=(1, 2, 3))
-        c = classify_site(db, 1)
+        c = classify_site(db.freeze(), 1)
         assert c.category is SiteCategory.SP
         assert c.dest_v4 == c.dest_v6
 
@@ -27,7 +27,7 @@ class TestClassifySite:
         add_dual_series(
             db, 1, [50.0] * 3, [40.0] * 3, v4_path=(1, 2, 3), v6_path=(1, 4, 5, 3)
         )
-        c = classify_site(db, 1)
+        c = classify_site(db.freeze(), 1)
         assert c.category is SiteCategory.DP
         assert c.dest_v4 == c.dest_v6
 
@@ -35,12 +35,12 @@ class TestClassifySite:
         add_dual_series(
             db, 1, [50.0] * 3, [40.0] * 3, v4_path=(1, 2, 9), v6_path=(1, 2, 3)
         )
-        c = classify_site(db, 1)
+        c = classify_site(db.freeze(), 1)
         assert c.category is SiteCategory.DL
         assert c.dest_v4 != c.dest_v6
 
     def test_no_paths_is_none(self, db):
-        assert classify_site(db, 99) is None
+        assert classify_site(db.freeze(), 99) is None
 
     def test_modal_path_decides_for_flappers(self, db):
         # v6 path flips for the last third of rounds: modal path == v4 path.
@@ -53,7 +53,7 @@ class TestClassifySite:
             v6_path=(1, 2, 3),
             v6_path_switch=(6, (1, 4, 3)),
         )
-        assert classify_site(db, 1).category is SiteCategory.SP
+        assert classify_site(db.freeze(), 1).category is SiteCategory.SP
 
 
 class TestGrouping:
@@ -71,7 +71,7 @@ class TestGrouping:
         add_dual_series(
             db, 5, [50.0] * 3, [30.0] * 3, v4_path=(1, 2, 9), v6_path=(1, 2, 3)
         )
-        return classify_sites(db, [1, 2, 3, 4, 5])
+        return classify_sites(db.freeze(), [1, 2, 3, 4, 5])
 
     def test_sites_in_category(self, classified):
         assert sites_in_category(classified, SiteCategory.SP) == [1, 2]
@@ -101,7 +101,7 @@ class TestGrouping:
         add_dual_series(
             db, 3, [50.0] * 3, [30.0] * 3, v4_path=(1, 2, 3), v6_path=(1, 4, 3)
         )
-        groups = group_by_destination(classify_sites(db, [1, 2, 3]))
+        groups = group_by_destination(classify_sites(db.freeze(), [1, 2, 3]))
         assert groups[3].category is SiteCategory.SP
         assert groups[3].n_sites == 3
 

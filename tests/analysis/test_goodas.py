@@ -58,7 +58,7 @@ class TestCollectGoodAses:
             v6_speed=98.0,
             zero_mode_site_ids=(1,),
         )
-        good = collect_good_ases({"A": (db, {3: evaluation})})
+        good = collect_good_ases({"A": (db.freeze(), {3: evaluation})})
         assert good == {2, 3}
 
     def test_non_comparable_contributes_nothing(self, db):
@@ -71,7 +71,7 @@ class TestCollectGoodAses:
             v6_speed=50.0,
             zero_mode_site_ids=(),
         )
-        assert collect_good_ases({"A": (db, {3: evaluation})}) == set()
+        assert collect_good_ases({"A": (db.freeze(), {3: evaluation})}) == set()
 
 
 class TestDpPathGoodness:
@@ -81,11 +81,11 @@ class TestDpPathGoodness:
             v4_path=(1, 9, 7), v6_path=(1, 2, 4, 7),
         )
         group = ASGroup(asn=7, category=SiteCategory.DP, site_ids=(1,))
-        fractions = dp_path_goodness(db, [group], good_ases={2, 7})
+        fractions = dp_path_goodness(db.freeze(), [group], good_ases={2, 7})
         # v6 path crosses (2, 4, 7): 2 and 7 good -> 2/3.
         assert fractions[7] == pytest.approx(2 / 3)
 
     def test_as_without_v6_path_skipped(self):
         db = MeasurementDatabase(vantage_name="T")
         group = ASGroup(asn=7, category=SiteCategory.DP, site_ids=(1,))
-        assert dp_path_goodness(db, [group], good_ases=set()) == {}
+        assert dp_path_goodness(db.freeze(), [group], good_ases=set()) == {}

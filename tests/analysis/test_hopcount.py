@@ -33,7 +33,7 @@ class TestPerformanceByHopcount:
             v4_path=(1, 2, 3),
             v6_path=(1, 4, 5, 6, 3),
         )
-        table = performance_by_hopcount(db, [1])
+        table = performance_by_hopcount(db.freeze(), [1])
         assert table[V4]["2"].n_sites == 1
         assert table[V4]["2"].mean_speed == pytest.approx(60.0)
         assert table[V6]["4"].n_sites == 1
@@ -44,25 +44,25 @@ class TestPerformanceByHopcount:
     def test_bucket_averages(self, db):
         add_dual_series(db, 1, [60.0] * 3, [60.0] * 3, v4_path=(1, 2, 3))
         add_dual_series(db, 2, [40.0] * 3, [40.0] * 3, v4_path=(1, 2, 9))
-        table = performance_by_hopcount(db, [1, 2])
+        table = performance_by_hopcount(db.freeze(), [1, 2])
         assert table[V4]["2"].n_sites == 2
         assert table[V4]["2"].mean_speed == pytest.approx(50.0)
 
     def test_open_bucket_pools_long_paths(self, db):
         add_dual_series(db, 1, [20.0] * 3, [20.0] * 3, v4_path=(1, 2, 3, 4, 5, 6))
         add_dual_series(db, 2, [10.0] * 3, [10.0] * 3, v4_path=(1, 2, 3, 4, 5, 6, 7, 8))
-        table = performance_by_hopcount(db, [1, 2])
+        table = performance_by_hopcount(db.freeze(), [1, 2])
         assert table[V4][">=5"].n_sites == 2
         assert table[V4][">=5"].mean_speed == pytest.approx(15.0)
 
     def test_all_buckets_present(self, db):
-        table = performance_by_hopcount(db, [])
+        table = performance_by_hopcount(db.freeze(), [])
         assert list(table[V4]) == list(BUCKETS)
 
     def test_sites_without_speed_skipped(self, db):
         from .conftest import add_series
 
         add_series(db, 1, V4, [50.0] * 3)  # no v6 data
-        table = performance_by_hopcount(db, [1])
+        table = performance_by_hopcount(db.freeze(), [1])
         assert table[V4]["2"].n_sites == 1
         assert table[V6]["2"].n_sites == 0

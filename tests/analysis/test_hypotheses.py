@@ -23,14 +23,14 @@ class TestEvaluateAs:
     def test_comparable_when_within_band(self, db, analysis_cfg):
         add_dual_series(db, 1, [100.0] * 3, [95.0] * 3)
         add_dual_series(db, 2, [100.0] * 3, [93.0] * 3)
-        evaluation = evaluate_as(db, sp_group(3, (1, 2)), analysis_cfg)
+        evaluation = evaluate_as(db.freeze(), sp_group(3, (1, 2)), analysis_cfg)
         assert evaluation.verdict is ASVerdict.COMPARABLE
         assert evaluation.n_sites == 2
         assert evaluation.v6_speed / evaluation.v4_speed == pytest.approx(0.94)
 
     def test_v6_better_is_comparable(self, db, analysis_cfg):
         add_dual_series(db, 1, [100.0] * 3, [120.0] * 3)
-        evaluation = evaluate_as(db, sp_group(3, (1,)), analysis_cfg)
+        evaluation = evaluate_as(db.freeze(), sp_group(3, (1,)), analysis_cfg)
         assert evaluation.verdict is ASVerdict.COMPARABLE
 
     def test_zero_mode_when_healthy_site_exists(self, db, analysis_cfg):
@@ -38,30 +38,30 @@ class TestEvaluateAs:
         add_dual_series(db, 1, [100.0] * 3, [100.0] * 3)
         for sid in (2, 3, 4):
             add_dual_series(db, sid, [100.0] * 3, [50.0] * 3)
-        evaluation = evaluate_as(db, sp_group(3, (1, 2, 3, 4)), analysis_cfg)
+        evaluation = evaluate_as(db.freeze(), sp_group(3, (1, 2, 3, 4)), analysis_cfg)
         assert evaluation.verdict is ASVerdict.ZERO_MODE
         assert evaluation.zero_mode_site_ids == (1,)
 
     def test_small_n_when_few_sites_and_no_mode(self, db, analysis_cfg):
         add_dual_series(db, 1, [100.0] * 3, [50.0] * 3)
-        evaluation = evaluate_as(db, sp_group(3, (1,)), analysis_cfg)
+        evaluation = evaluate_as(db.freeze(), sp_group(3, (1,)), analysis_cfg)
         assert evaluation.verdict is ASVerdict.SMALL_N
 
     def test_worse_when_many_sites_and_no_mode(self, db, analysis_cfg):
         for sid in range(1, 6):
             add_dual_series(db, sid, [100.0] * 3, [55.0] * 3)
-        evaluation = evaluate_as(db, sp_group(3, tuple(range(1, 6))), analysis_cfg)
+        evaluation = evaluate_as(db.freeze(), sp_group(3, tuple(range(1, 6))), analysis_cfg)
         assert evaluation.verdict is ASVerdict.WORSE
 
     def test_no_data_returns_none(self, db, analysis_cfg):
-        assert evaluate_as(db, sp_group(3, (42,)), analysis_cfg) is None
+        assert evaluate_as(db.freeze(), sp_group(3, (42,)), analysis_cfg) is None
 
     def test_site_filter_restricts_evaluation(self, db, analysis_cfg):
         add_dual_series(db, 1, [100.0] * 3, [100.0] * 3)
         add_dual_series(db, 2, [100.0] * 3, [40.0] * 3)
-        full = evaluate_as(db, sp_group(3, (1, 2)), analysis_cfg)
+        full = evaluate_as(db.freeze(), sp_group(3, (1, 2)), analysis_cfg)
         only_good = evaluate_as(
-            db, sp_group(3, (1, 2)), analysis_cfg, site_filter=[1]
+            db.freeze(), sp_group(3, (1, 2)), analysis_cfg, site_filter=[1]
         )
         assert full.verdict is ASVerdict.ZERO_MODE
         assert only_good.verdict is ASVerdict.COMPARABLE
@@ -71,14 +71,14 @@ class TestAggregation:
     def test_evaluate_groups_skips_empty(self, db, analysis_cfg):
         add_dual_series(db, 1, [100.0] * 3, [95.0] * 3)
         groups = [sp_group(3, (1,)), sp_group(4, (99,))]
-        evaluations = evaluate_groups(db, groups, analysis_cfg)
+        evaluations = evaluate_groups(db.freeze(), groups, analysis_cfg)
         assert set(evaluations) == {3}
 
     def test_verdict_fractions(self, db, analysis_cfg):
         add_dual_series(db, 1, [100.0] * 3, [95.0] * 3)  # comparable
         add_dual_series(db, 2, [100.0] * 3, [50.0] * 3)  # small_n
         evaluations = evaluate_groups(
-            db, [sp_group(3, (1,)), sp_group(4, (2,))], analysis_cfg
+            db.freeze(), [sp_group(3, (1,)), sp_group(4, (2,))], analysis_cfg
         )
         fractions = verdict_fractions(evaluations.values())
         assert fractions[ASVerdict.COMPARABLE] == pytest.approx(0.5)

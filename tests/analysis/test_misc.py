@@ -19,8 +19,8 @@ class TestTraitAnalysis:
         add_dual_series(
             db, 4, [100.0] * 3, [50.0] * 3, v4_path=(1, 2, 8), v6_path=(1, 4, 8)
         )
-        classifications = classify_sites(db, [1, 2, 3, 4])
-        report = trait_analysis(db, classifications)
+        classifications = classify_sites(db.freeze(), [1, 2, 3, 4])
+        report = trait_analysis(db.freeze(), classifications)
         assert report.n_winners == 2
         assert report.n_baseline == 4
         # Category shares among winners equal baseline -> no lift.
@@ -35,8 +35,8 @@ class TestTraitAnalysis:
                 db, sid, [100.0] * 3, [40.0] * 3,
                 v4_path=(1, 2, 7), v6_path=(1, 4, 7),
             )
-        classifications = classify_sites(db, [1, 2, 3, 4, 5, 6])
-        report = trait_analysis(db, classifications)
+        classifications = classify_sites(db.freeze(), [1, 2, 3, 4, 5, 6])
+        report = trait_analysis(db.freeze(), classifications)
         assert not report.no_dominant_trait
         top = report.dominant_traits[0]
         assert top.trait == "category"
@@ -44,13 +44,13 @@ class TestTraitAnalysis:
 
     def test_extra_traits(self, db):
         add_dual_series(db, 1, [100.0] * 3, [120.0] * 3)
-        classifications = classify_sites(db, [1])
+        classifications = classify_sites(db.freeze(), [1])
         report = trait_analysis(
-            db, classifications, extra_traits={"parity": lambda sid: sid % 2}
+            db.freeze(), classifications, extra_traits={"parity": lambda sid: sid % 2}
         )
         assert any(s.trait == "parity" for s in report.shares)
 
     def test_empty_population(self, db):
-        report = trait_analysis(db, {})
+        report = trait_analysis(db.freeze(), {})
         assert report.n_winners == 0
         assert report.no_dominant_trait

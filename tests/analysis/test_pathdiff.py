@@ -47,12 +47,12 @@ class TestCompareSitePaths:
         add_dual_series(
             db, 1, [50.0] * 3, [40.0] * 3, v4_path=(1, 2, 9), v6_path=(1, 3, 4, 9)
         )
-        c = compare_site_paths(db, 1)
+        c = compare_site_paths(db.freeze(), 1)
         assert c is not None
         assert c.length_delta == 1
 
     def test_missing_data(self, db):
-        assert compare_site_paths(db, 99) is None
+        assert compare_site_paths(db.freeze(), 99) is None
 
 
 class TestSummariseDivergence:
@@ -61,13 +61,13 @@ class TestSummariseDivergence:
         add_dual_series(
             db, 2, [50.0] * 3, [30.0] * 3, v4_path=(1, 2, 9), v6_path=(1, 3, 4, 9)
         )
-        summary = summarise_divergence(db, [1, 2])
+        summary = summarise_divergence(db.freeze(), [1, 2])
         assert summary.n_sites == 2
         assert summary.n_identical == 1
         assert summary.mean_length_delta == pytest.approx(0.5)
         assert summary.delta_histogram == {0: 1, 1: 1}
 
     def test_empty(self, db):
-        summary = summarise_divergence(db, [])
+        summary = summarise_divergence(db.freeze(), [])
         assert summary.n_sites == 0
         assert summary.n_identical == 0

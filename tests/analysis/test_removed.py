@@ -28,7 +28,7 @@ class TestAuditRemovedSites:
             db, 4, [100.0] * 3, [120.0] * 3, v4_path=(1, 2, 9), v6_path=(1, 2, 3)
         )
         screenings = {sid: removed(sid) for sid in (1, 2, 3, 4)}
-        audit = audit_removed_sites("V", db, screenings)
+        audit = audit_removed_sites("V", db.freeze(), screenings)
         assert audit.sp_good == 1
         assert audit.sp_bad == 1
         assert audit.dp_good == 0
@@ -41,9 +41,9 @@ class TestAuditRemovedSites:
     def test_kept_sites_not_audited(self, db):
         add_dual_series(db, 1, [100.0] * 3, [95.0] * 3)
         screenings = {1: SiteScreening(site_id=1, kept=True)}
-        assert audit_removed_sites("V", db, screenings).total == 0
+        assert audit_removed_sites("V", db.freeze(), screenings).total == 0
 
     def test_insufficient_samples_not_auditable(self, db):
         add_dual_series(db, 1, [100.0] * 3, [95.0] * 3)
         screenings = {1: removed(1, RemovalReason.INSUFFICIENT_SAMPLES)}
-        assert audit_removed_sites("V", db, screenings).total == 0
+        assert audit_removed_sites("V", db.freeze(), screenings).total == 0

@@ -33,7 +33,7 @@ class TestRelativeDifferences:
     def test_computed_per_site(self, db):
         add_dual_series(db, 1, [100.0] * 3, [50.0] * 3)
         add_dual_series(db, 2, [100.0] * 3, [98.0] * 3)
-        diffs = relative_differences(db, [1, 2, 99])
+        diffs = relative_differences(db.freeze(), [1, 2, 99])
         assert diffs[1] == pytest.approx(-0.5)
         assert diffs[2] == pytest.approx(-0.02)
         assert 99 not in diffs
@@ -42,5 +42,5 @@ class TestRelativeDifferences:
         add_dual_series(db, 1, [100.0] * 3, [50.0] * 3)
         add_dual_series(db, 2, [100.0] * 3, [98.0] * 3)
         add_dual_series(db, 3, [100.0] * 3, [105.0] * 3)
-        diffs = relative_differences(db, [1, 2, 3])
+        diffs = relative_differences(db.freeze(), [1, 2, 3])
         assert zero_mode_sites(diffs) == [2, 3]

@@ -31,6 +31,7 @@ from repro.dataplane.performance import ThroughputModel
 from repro.dns.records import RecordType, ResourceRecord
 from repro.dns.resolver import Resolver
 from repro.dns.zone import ZoneStore
+from repro.monitor.aggregate import CentralRepository
 from repro.monitor.tool import MonitoringTool, VantageEnvironment
 from repro.monitor.vantage import VantageKind, VantagePoint
 from repro.net.addresses import IPv4Address, IPv6Address
@@ -46,14 +47,14 @@ VANTAGE = "Penn"
 def _dns_rounds(db) -> dict:
     """Per round: sorted dual-stack site ids and the top-list tallies."""
     dual: dict[int, set[int]] = {}
-    for rows in db.dns.values():
-        for obs in rows:
-            dual.setdefault(obs.round_idx, set()).add(obs.site_id)
-    rounds = sorted(set(dual) | set(db.dns_counts))
+    for site_id, _, round_idx, *_ in db.table("dns").rows():
+        dual.setdefault(round_idx, set()).add(site_id)
+    counts = {row[0]: row[1:] for row in db.table("dns_counts").rows()}
+    rounds = sorted(set(dual) | set(counts))
     return {
         str(r): {
             "dual_stack": sorted(dual.get(r, ())),
-            "listed": list(db.dns_counts.get(r, (0, 0, 0))),
+            "listed": list(counts.get(r, (0, 0, 0))),
         }
         for r in rounds
     }
@@ -190,12 +191,13 @@ def _environment(store: ZoneStore, dns64: bool) -> VantageEnvironment:
 
 def _run(dns64: bool) -> tuple[dict, list]:
     store = _build_store()
+    vantage = VantagePoint(
+        name="Zone", location="Testville", asn=1, start_round=0,
+        as_path_available=True, white_listed=False,
+        kind=VantageKind.ACADEMIC,
+    )
     tool = MonitoringTool(
-        vantage=VantagePoint(
-            name="Zone", location="Testville", asn=1, start_round=0,
-            as_path_available=True, white_listed=False,
-            kind=VantageKind.ACADEMIC,
-        ),
+        vantage=vantage,
         env=_environment(store, dns64),
         config=MonitorConfig(min_rounds=3),
         rng=random.Random(23),
@@ -204,7 +206,9 @@ def _run(dns64: bool) -> tuple[dict, list]:
     for round_idx in range(N_ROUNDS):
         _mutate(store, round_idx)
         reports.append(tool.run_round(round_idx).to_dict())
-    return tool.database.to_dict(), reports
+    repository = CentralRepository()
+    repository.add(vantage, tool.database.freeze())
+    return repository.to_dict()["databases"][vantage.name], reports
 
 
 def _zone_digest(dns64: bool) -> str:

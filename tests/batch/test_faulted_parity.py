@@ -70,8 +70,10 @@ def _canonical_summary(result) -> dict:
     repo = result.repository
     faults = {
         name: [
-            [obs.site_id, obs.round_idx, obs.family.value, obs.kind]
-            for obs in repo.database(name).faults
+            [site_id, round_idx, family, kind]
+            for site_id, family, round_idx, kind in (
+                repo.database(name).table("faults").rows()
+            )
         ]
         for name in repo.vantage_names
     }
@@ -160,5 +162,6 @@ class TestLiveScalarParity:
         )
         repo = result.repository
         assert (
-            sum(len(repo.database(n).faults) for n in repo.vantage_names) > 0
+            sum(repo.database(n).table("faults").n_rows for n in repo.vantage_names)
+            > 0
         )

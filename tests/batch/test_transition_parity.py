@@ -53,10 +53,7 @@ def _canonical_summary(result) -> dict:
     """
     repo = result.repository
     transitions = {
-        name: [
-            [obs.site_id, obs.round_idx, obs.kind]
-            for obs in repo.database(name).transitions
-        ]
+        name: repo.database(name).table("transitions").rows()
         for name in repo.vantage_names
     }
     return {
@@ -115,9 +112,12 @@ class TestLiveScalarParity:
         )
         repo = result.repository
         kinds = {
-            obs.kind
+            kind
             for name in repo.vantage_names
-            for obs in repo.database(name).transitions
+            for kind in repo.database(name)
+            .table("transitions")
+            .column("transition")
+            .values_list()
         }
         assert "translated" in kinds
 

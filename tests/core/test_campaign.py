@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.campaign import run_world_ipv6_day
+from repro.data.series import dual_stack_sites, v6_reachability
 from repro.errors import ConfigError
 from repro.net.addresses import AddressFamily
 
@@ -32,37 +33,35 @@ class TestRunCampaign:
     def test_dual_stack_sites_measured_everywhere(self, small_campaign):
         repo = small_campaign.repository
         for name in repo.vantage_names:
-            assert len(repo.database(name).dual_stack_sites()) > 0
+            assert len(dual_stack_sites(repo.database(name))) > 0
 
     def test_total_measurements_positive(self, small_campaign):
         assert small_campaign.total_measurements() > 0
 
     def test_reachability_growth_over_campaign(self, small_campaign, small_cfg):
         db = small_campaign.repository.database("Penn")
-        early = db.v6_reachability(0)
-        late = db.v6_reachability(small_cfg.campaign.n_rounds - 1)
+        early = v6_reachability(db, 0)
+        late = v6_reachability(db, small_cfg.campaign.n_rounds - 1)
         assert late > early
 
     def test_w6d_jump_visible(self, small_campaign, small_cfg):
         db = small_campaign.repository.database("Penn")
         w6d = small_cfg.adoption.world_ipv6_day_round
-        before = db.v6_reachability(w6d - 1)
-        during = db.v6_reachability(w6d)
+        before = v6_reachability(db, w6d - 1)
+        during = v6_reachability(db, w6d)
         assert during > before
 
 
 class TestMeasuredPerformanceStructure:
     def test_measured_speeds_positive_and_sane(self, small_campaign):
         db = small_campaign.repository.database("Penn")
-        for (sid, family), rows in list(db.downloads.items())[:200]:
-            for obs in rows:
-                assert 0 < obs.mean_speed < 10_000
+        for speed in db.table("downloads").column("mean_speed").values:
+            assert 0 < speed < 10_000
 
     def test_dest_ases_match_recorded_paths(self, small_campaign):
         db = small_campaign.repository.database("Penn")
-        for (sid, family), rows in list(db.paths.items())[:200]:
-            for obs in rows:
-                assert obs.as_path[-1] == obs.dest_asn
+        for _, _, _, dest_asn, as_path in db.table("paths").rows():
+            assert as_path[-1] == dest_asn
 
 
 class TestWorldIpv6Day:
@@ -71,7 +70,7 @@ class TestWorldIpv6Day:
         if not participants:
             pytest.skip("no participants in this draw")
         db = small_w6d.campaign.repository.database("Penn")
-        measured = set(db.dual_stack_sites())
+        measured = set(dual_stack_sites(db))
         assert measured <= participants
         assert measured  # most participants are measurable during the event
 

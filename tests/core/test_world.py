@@ -210,20 +210,23 @@ class TestNat64:
     def test_campaign_records_transitions(self, dns64_campaign):
         repo = dns64_campaign.repository
         total = sum(
-            len(repo.database(name).transitions)
+            repo.database(name).table("transitions").n_rows
             for name in repo.vantage_names
         )
         assert total > 0
         kinds = {
-            obs.kind
+            kind
             for name in repo.vantage_names
-            for obs in repo.database(name).transitions
+            for kind in repo.database(name)
+            .table("transitions")
+            .column("transition")
+            .values_list()
         }
         assert "translated" in kinds
 
     def test_plain_campaign_records_none(self, small_campaign):
         repo = small_campaign.repository
         assert all(
-            not repo.database(name).transitions
+            not repo.database(name).table("transitions").n_rows
             for name in repo.vantage_names
         )

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 
 import pytest
 
@@ -42,61 +41,85 @@ V6 = AddressFamily.IPV6
 def populated_db(
     with_faults: bool = True, with_transitions: bool = False
 ) -> MeasurementDatabase:
+    """A write buffer filled round by round, as the round plane fills it
+    (so each key's rows interleave with the other keys' before freezing)."""
     db = MeasurementDatabase(vantage_name="T")
-    db.add_dns(DnsObservation(1, "s1", 0, True, True))
-    db.add_dns(DnsObservation(2, "s2", 0, True, False))
-    db.add_page_check(PageCheck(1, 0, 1000, 1000, True))
-    for family in (V4, V6):
-        for round_idx in (0, 1, 2):
-            db.add_download(
-                DownloadObservation(
-                    site_id=1,
-                    round_idx=round_idx,
-                    family=family,
-                    n_samples=5,
-                    mean_speed=100.0 + round_idx + (0 if family is V4 else 10),
-                    ci_half_width=1.5,
-                    converged=round_idx != 1,
-                    page_bytes=1000,
-                    timestamp=float(round_idx),
-                )
+    db.add_dns_round(0, (2, 2, 1), [DnsObservation(1, "s1", 0, True, True)])
+    db.add_page_checks([PageCheck(1, 0, 1000, 1000, True)])
+    for round_idx in (0, 1, 2):
+        db.add_downloads([
+            DownloadObservation(
+                site_id=1,
+                round_idx=round_idx,
+                family=family,
+                n_samples=5,
+                mean_speed=100.0 + round_idx + (0 if family is V4 else 10),
+                ci_half_width=1.5,
+                converged=round_idx != 1,
+                page_bytes=1000,
+                timestamp=float(round_idx),
             )
-            db.add_path(
-                PathObservation(
-                    1, round_idx, family,
-                    dest_asn=30,
-                    as_path=(10, 20, 30) if round_idx < 2 else (10, 25, 30),
-                )
+            for family in (V4, V6)
+        ])
+        db.add_paths([
+            PathObservation(
+                1, round_idx, family,
+                dest_asn=30,
+                as_path=(10, 20, 30) if round_idx < 2 else (10, 25, 30),
             )
+            for family in (V4, V6)
+        ])
     if with_faults:
         db.add_fault(FaultObservation(1, 0, V6, "timeout"))
         db.add_fault(FaultObservation(1, 1, V6, "dns_timeout"))
         db.add_fault(FaultObservation(2, 1, V4, "reset"))
     if with_transitions:
-        db.add_transition(TransitionObservation(1, 0, "translated"))
-        db.add_transition(TransitionObservation(2, 0, "native"))
-        db.add_transition(TransitionObservation(1, 1, "translated"))
-        db.add_transition(TransitionObservation(1, 2, "native"))
+        db.add_transitions([
+            TransitionObservation(1, 0, "translated"),
+            TransitionObservation(2, 0, "native"),
+            TransitionObservation(1, 1, "translated"),
+            TransitionObservation(1, 2, "native"),
+        ])
     return db
 
 
+def _wire(cdb: ColumnarDatabase) -> dict:
+    """Every table's wire rows."""
+    return {name: cdb.table(name).rows() for name in TABLE_SCHEMAS}
+
+
+def _bin_round_trip(cdb: ColumnarDatabase) -> ColumnarDatabase:
+    head, segments, _ = encode_columnar_binary(_one_database(cdb))
+    blob = head + b"".join(bytes(segment) for segment in segments)
+    return decode_columnar_binary(blob).databases[cdb.vantage_name]
+
+
 def test_database_round_trip_is_bit_identical():
-    db = populated_db()
-    rebuilt = ColumnarDatabase.from_database(db).to_database()
-    assert rebuilt.to_dict() == db.to_dict()
+    cdb = populated_db().freeze()
+    # wire order: each (site, family) group in first-appearance order,
+    # rounds ascending inside it
+    downloads = cdb.table("downloads").rows()
+    assert [row[:3] for row in downloads] == [
+        [1, V4.value, 0], [1, V4.value, 1], [1, V4.value, 2],
+        [1, V6.value, 0], [1, V6.value, 1], [1, V6.value, 2],
+    ]
+    assert cdb.table("paths").column("as_path").dictionary == [
+        [10, 20, 30], [10, 25, 30],
+    ]
+    assert _wire(_bin_round_trip(cdb)) == _wire(cdb)
 
 
-def _one_database(db: MeasurementDatabase) -> ColumnarRepository:
+def _one_database(cdb: ColumnarDatabase) -> ColumnarRepository:
     return ColumnarRepository(
-        vantages={db.vantage_name: {"name": db.vantage_name}},
-        databases={db.vantage_name: ColumnarDatabase.from_database(db)},
+        vantages={cdb.vantage_name: {"name": cdb.vantage_name}},
+        databases={cdb.vantage_name: cdb},
     )
 
 
-def _json_tables(db: MeasurementDatabase) -> dict:
+def _json_tables(cdb: ColumnarDatabase) -> dict:
     """Wire rows per table, read back from the streamed JSON text."""
-    text = "".join(iter_columnar_json(_one_database(db)))
-    tables = json.loads(text)["databases"][db.vantage_name]["tables"]
+    text = "".join(iter_columnar_json(_one_database(cdb)))
+    tables = json.loads(text)["databases"][cdb.vantage_name]["tables"]
     rows = {}
     for name, schema in TABLE_SCHEMAS.items():
         columns = []
@@ -115,7 +138,7 @@ def _binary_with_meta(db: MeasurementDatabase, mutate) -> bytes:
     """``columnar.bin`` bytes of ``db`` with its metadata edited by
     ``mutate`` and the sha256 recomputed, so the structural checks (not
     the digest) must reject the edit."""
-    head, segments, _ = encode_columnar_binary(_one_database(db))
+    head, segments, _ = encode_columnar_binary(_one_database(db.freeze()))
     meta = json.loads(head[_BINARY_HEADER.size :])
     mutate(meta)
     meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
@@ -128,14 +151,12 @@ def _binary_with_meta(db: MeasurementDatabase, mutate) -> bytes:
 
 
 def test_payload_round_trip_through_json():
-    db = populated_db()
-    wire = db.to_dict()
-    assert _json_tables(db) == {name: wire.get(name, []) for name in TABLE_SCHEMAS}
+    cdb = populated_db().freeze()
+    assert _json_tables(cdb) == _wire(cdb)
 
 
 def test_faults_table_round_trips():
-    db = populated_db(with_faults=True)
-    cdb = ColumnarDatabase.from_database(db)
+    cdb = _bin_round_trip(populated_db(with_faults=True).freeze())
     table = cdb.table("faults")
     assert table.n_rows == 3
     # dictionary-encoded kind and family decode to the original values
@@ -144,22 +165,20 @@ def test_faults_table_round_trips():
         [1, V6.value, 1, "dns_timeout"],
         [2, V4.value, 1, "reset"],
     ]
-    rebuilt = cdb.to_database()
-    assert rebuilt.faults == db.faults
 
 
 def test_faults_export_csv_round_trip(tmp_path):
-    # the CSV export of a columnar-round-tripped database is byte-equal
-    # to the original's, and its per-kind counts match the faults table
+    # the CSV export of a binary-round-tripped database is byte-equal to
+    # the frozen one's, and its per-kind counts match the faults table
     import csv
 
     from repro.monitor.export import export_faults_csv
 
-    db = populated_db(with_faults=True)
-    rebuilt = ColumnarDatabase.from_database(db).to_database()
+    cdb = populated_db(with_faults=True).freeze()
+    rebuilt = _bin_round_trip(cdb)
     original_path = tmp_path / "original.csv"
     rebuilt_path = tmp_path / "rebuilt.csv"
-    assert export_faults_csv(db, original_path) == export_faults_csv(
+    assert export_faults_csv(cdb, original_path) == export_faults_csv(
         rebuilt, rebuilt_path
     )
     assert original_path.read_bytes() == rebuilt_path.read_bytes()
@@ -167,12 +186,13 @@ def test_faults_export_csv_round_trip(tmp_path):
         by_kind: dict[str, int] = {}
         for row in csv.DictReader(handle):
             by_kind[row["kind"]] = by_kind.get(row["kind"], 0) + int(row["count"])
-    assert by_kind == dict(Counter(obs.kind for obs in db.faults))
+    assert by_kind == {"timeout": 1, "dns_timeout": 1, "reset": 1}
 
 
 def test_transitions_table_round_trips():
-    db = populated_db(with_transitions=True)
-    cdb = ColumnarDatabase.from_database(db)
+    from repro.data.series import transition_counts
+
+    cdb = _bin_round_trip(populated_db(with_transitions=True).freeze())
     table = cdb.table("transitions")
     assert table.n_rows == 4
     # dictionary-encoded transition kinds decode to the original values
@@ -182,19 +202,14 @@ def test_transitions_table_round_trips():
         [1, 1, "translated"],
         [1, 2, "native"],
     ]
-    rebuilt = cdb.to_database()
-    assert rebuilt.transitions == db.transitions
-    assert rebuilt.transition_counts() == db.transition_counts()
-    # latest-round semantics survive the round trip: site 1 went native
-    assert [o.kind for o in rebuilt.transitions if o.site_id == 1][-1] == "native"
+    assert transition_counts(cdb) == {"translated": 2, "native": 2}
 
 
 def test_transitions_payload_round_trip_through_json():
-    db = populated_db(with_transitions=True)
-    wire = db.to_dict()
-    tables = _json_tables(db)
-    assert tables["transitions"] == wire["transitions"]
-    assert tables == {name: wire.get(name, []) for name in TABLE_SCHEMAS}
+    cdb = populated_db(with_transitions=True).freeze()
+    tables = _json_tables(cdb)
+    assert tables["transitions"] == cdb.table("transitions").rows()
+    assert tables == _wire(cdb)
 
 
 def test_transitions_export_csv_round_trip(tmp_path):
@@ -202,11 +217,11 @@ def test_transitions_export_csv_round_trip(tmp_path):
 
     from repro.monitor.export import export_transitions_csv
 
-    db = populated_db(with_transitions=True)
-    rebuilt = ColumnarDatabase.from_database(db).to_database()
+    cdb = populated_db(with_transitions=True).freeze()
+    rebuilt = _bin_round_trip(cdb)
     original_path = tmp_path / "original.csv"
     rebuilt_path = tmp_path / "rebuilt.csv"
-    assert export_transitions_csv(db, original_path) == export_transitions_csv(
+    assert export_transitions_csv(cdb, original_path) == export_transitions_csv(
         rebuilt, rebuilt_path
     )
     assert original_path.read_bytes() == rebuilt_path.read_bytes()
@@ -214,43 +229,66 @@ def test_transitions_export_csv_round_trip(tmp_path):
         by_kind: dict[str, int] = {}
         for row in csv.DictReader(handle):
             by_kind[row["transition"]] = by_kind.get(row["transition"], 0) + 1
-    assert by_kind == db.transition_counts()
+    assert by_kind == {"translated": 2, "native": 2}
+
+
+def _wire_keys(cdb: ColumnarDatabase) -> list[str]:
+    from repro.monitor.aggregate import CentralRepository
+    from repro.monitor.vantage import VantageKind, VantagePoint
+
+    repository = CentralRepository()
+    repository.add(
+        VantagePoint(
+            name=cdb.vantage_name, location="X", asn=10, start_round=0,
+            as_path_available=True, white_listed=False,
+            kind=VantageKind.ACADEMIC,
+        ),
+        cdb,
+    )
+    return list(repository.to_dict()["databases"][cdb.vantage_name])
 
 
 def test_transitionless_database_keeps_wire_layout():
-    # to_dict omits the transitions key when empty; the columnar round
-    # trip must preserve that (legacy content digests depend on it).
-    db = populated_db(with_transitions=False)
-    assert "transitions" not in db.to_dict()
-    rebuilt = ColumnarDatabase.from_database(db).to_database()
-    assert "transitions" not in rebuilt.to_dict()
-    assert rebuilt.to_dict() == db.to_dict()
+    # the wire form omits the transitions key when empty; legacy content
+    # digests depend on it, before and after a binary round trip
+    cdb = populated_db(with_transitions=False).freeze()
+    assert "transitions" not in _wire_keys(cdb)
+    assert "transitions" not in _wire_keys(_bin_round_trip(cdb))
+    assert "transitions" in _wire_keys(
+        populated_db(with_transitions=True).freeze()
+    )
 
 
 def test_faultless_database_keeps_wire_layout():
-    # to_dict omits the faults key when empty; the columnar round trip
-    # must preserve that (the content digest depends on it).
-    db = populated_db(with_faults=False)
-    assert "faults" not in db.to_dict()
-    rebuilt = ColumnarDatabase.from_database(db).to_database()
-    assert "faults" not in rebuilt.to_dict()
-    assert rebuilt.to_dict() == db.to_dict()
+    # the wire form omits the faults key when empty (the content digest
+    # depends on it), before and after a binary round trip
+    cdb = populated_db(with_faults=False).freeze()
+    assert _wire_keys(cdb) == [
+        "format", "vantage_name", "dns", "dns_counts", "page_checks",
+        "downloads", "paths",
+    ]
+    assert _wire_keys(_bin_round_trip(cdb)) == _wire_keys(cdb)
 
 
 def test_repository_digest_parity(small_campaign):
+    from repro.monitor.aggregate import CentralRepository
+    from repro.monitor.vantage import VantagePoint
+
     repository = small_campaign.repository
     head, segments, _ = encode_columnar_binary(
         ColumnarRepository.from_repository(repository)
     )
     blob = head + b"".join(bytes(segment) for segment in segments)
-    rebuilt = decode_columnar_binary(blob).to_repository()
+    decoded = decode_columnar_binary(blob)
+    rebuilt = CentralRepository()
+    for name, vantage in decoded.vantages.items():
+        rebuilt.add(VantagePoint.from_dict(vantage), decoded.databases[name])
     assert rebuilt.content_digest() == repository.content_digest()
 
 
-def test_columnar_view_is_memoized_and_invalidated():
+def test_freeze_takes_every_write_so_far():
     db = populated_db()
-    view = columnar_view(db)
-    assert columnar_view(db) is view
+    view = db.freeze()
     db.add_fault(FaultObservation(2, 2, V4, "timeout"))
     fresh = columnar_view(db)
     assert fresh is not view
@@ -258,8 +296,7 @@ def test_columnar_view_is_memoized_and_invalidated():
 
 
 def test_sorted_index_equal_range_prefix():
-    db = populated_db()
-    table = ColumnarDatabase.from_database(db).table("downloads")
+    table = populated_db().freeze().table("downloads")
     index = table.index()
     rows = index.equal_range((1, table.column("family").encode(V6.value)))
     assert rows == sorted(rows)

@@ -33,7 +33,9 @@ from repro.data.columnar import (
     write_columnar_json,
 )
 from repro.errors import DataError
+from repro.monitor.aggregate import CentralRepository
 from repro.monitor.database import FAULT_KINDS, TRANSITION_KINDS
+from repro.monitor.vantage import VantagePoint
 
 from .test_columnar import populated_db
 
@@ -153,10 +155,9 @@ def test_empty_repository_round_trips():
 
 
 def _small_repository() -> ColumnarRepository:
-    db = populated_db()
     return ColumnarRepository(
         vantages={"T": {"name": "T"}},
-        databases={"T": ColumnarDatabase.from_database(db)},
+        databases={"T": populated_db().freeze()},
     )
 
 
@@ -201,7 +202,9 @@ def test_campaign_binary_preserves_content_digest(small_campaign, tmp_path):
     write_columnar_binary(bin_path, repository)
     decoded = load_columnar_binary(bin_path)
     assert _json_bytes(decoded) == _json_bytes(repository)
-    rebuilt = decoded.to_repository()
+    rebuilt = CentralRepository()
+    for name, vantage in decoded.vantages.items():
+        rebuilt.add(VantagePoint.from_dict(vantage), decoded.databases[name])
     assert (
         rebuilt.content_digest()
         == small_campaign.repository.content_digest()

@@ -17,6 +17,7 @@ from repro.data import query, series
 from repro.data.columnar import (
     ColumnarDatabase,
     ColumnarRepository,
+    ColumnarTable,
     columnar_view,
     decode_columnar_binary,
     encode_columnar_binary,
@@ -193,7 +194,7 @@ def test_query_from_dict_validates_untrusted_payloads():
         Query.from_dict({"table": "downloads", "where": ["site_id=1"]})
 
 
-# -- series index: helper parity with the row objects ------------------------
+# -- series index: helper parity with the wire rows --------------------------
 
 
 def _all_series(index) -> tuple[dict, dict]:
@@ -213,45 +214,103 @@ def _all_series(index) -> tuple[dict, dict]:
     )
 
 
-def _assert_series_parity(db) -> None:
-    """Every (site, family) of ``db``: each helper equals its row-object
-    twin, and the index's groups equal what the rows say."""
-    cdb = columnar_view(db)
+class _Rows:
+    """The brute-force reading of one database's wire rows: each helper's
+    definition, computed row by row."""
+
+    def __init__(self, cdb) -> None:
+        self.downloads: dict = {}
+        self.paths: dict = {}
+        for site_id, family, round_idx, _, speed, _, converged, _, _ in (
+            cdb.table("downloads").rows()
+        ):
+            self.downloads.setdefault((site_id, AddressFamily(family)), []).append(
+                (round_idx, speed, converged)
+            )
+        for site_id, family, round_idx, dest, path in cdb.table("paths").rows():
+            self.paths.setdefault((site_id, AddressFamily(family)), []).append(
+                (round_idx, dest, tuple(path))
+            )
+
+    def speeds(self, site_id, family) -> list[float]:
+        rows = self.downloads.get((site_id, family), [])
+        return [speed for _, speed, converged in rows if converged]
+
+    def download_rounds(self, site_id, family) -> list[int]:
+        rows = self.downloads.get((site_id, family), [])
+        return [round_idx for round_idx, _, converged in rows if converged]
+
+    def mean_speed(self, site_id, family) -> float | None:
+        speeds = self.speeds(site_id, family)
+        return sum(speeds) / len(speeds) if speeds else None
+
+    def dest_asn(self, site_id, family) -> int | None:
+        rows = self.paths.get((site_id, family), [])
+        return rows[-1][1] if rows else None
+
+    def as_path(self, site_id, family) -> tuple[int, ...] | None:
+        paths = [path for _, _, path in self.paths.get((site_id, family), [])]
+        if not paths:
+            return None
+        best = max(paths.count(path) for path in paths)
+        return next(p for p in reversed(paths) if paths.count(p) == best)
+
+    def path_change_rounds(self, site_id, family) -> list[int]:
+        rows = self.paths.get((site_id, family), [])
+        return [cur[0] for prev, cur in zip(rows, rows[1:]) if prev[2] != cur[2]]
+
+    def dual_stack_sites(self) -> list[int]:
+        return sorted({
+            site_id
+            for site_id, _ in self.downloads
+            if self.speeds(site_id, V4) and self.speeds(site_id, V6)
+        })
+
+
+def _assert_series_parity(cdb) -> None:
+    """Every (site, family) of ``cdb``: each helper equals its row-by-row
+    definition, and the index's groups equal what the rows say."""
+    rows = _Rows(cdb)
     index = series_index(cdb)
-    sites = {site_id for site_id, _ in db.downloads} | {
-        site_id for site_id, _ in db.paths
+    sites = {site_id for site_id, _ in rows.downloads} | {
+        site_id for site_id, _ in rows.paths
     }
     for site_id in sorted(sites) + [max(sites, default=0) + 1]:
         for family in (V4, V6):
-            assert converged_speeds(cdb, site_id, family) == db.speeds(
+            assert converged_speeds(cdb, site_id, family) == rows.speeds(
                 site_id, family
             )
-            assert download_rounds(cdb, site_id, family) == db.download_rounds(
+            assert download_rounds(cdb, site_id, family) == rows.download_rounds(
                 site_id, family
             )
-            assert mean_speed(cdb, site_id, family) == site_mean_speed(
-                db, site_id, family
+            assert mean_speed(cdb, site_id, family) == rows.mean_speed(
+                site_id, family
             )
-            assert dest_asn(cdb, site_id, family) == db.dest_asn(site_id, family)
-            assert modal_as_path(cdb, site_id, family) == db.as_path(
+            assert site_mean_speed(cdb, site_id, family) == rows.mean_speed(
+                site_id, family
+            )
+            assert dest_asn(cdb, site_id, family) == rows.dest_asn(site_id, family)
+            assert modal_as_path(cdb, site_id, family) == rows.as_path(
                 site_id, family
             )
             assert path_change_rounds(
                 cdb, site_id, family
-            ) == db.path_change_rounds(site_id, family)
+            ) == rows.path_change_rounds(site_id, family)
     download_series, path_series = _all_series(index)
     assert set(download_series) == {
-        key for key, rows in db.downloads.items() if any(r.converged for r in rows)
+        key
+        for key, series_rows in rows.downloads.items()
+        if any(converged for _, _, converged in series_rows)
     }
-    assert set(path_series) == {key for key, rows in db.paths.items() if rows}
-    assert dual_stack_sites(cdb) == db.dual_stack_sites()
+    assert set(path_series) == set(rows.paths)
+    assert dual_stack_sites(cdb) == rows.dual_stack_sites()
     path_families = {family: set() for family in (V4, V6)}
     round_hops: dict = {}
-    for (site_id, family), rows in db.paths.items():
+    for (site_id, family), series_rows in rows.paths.items():
         path_families[family].add(site_id)
-        for row in rows:
-            hops = round_hops.setdefault((row.round_idx, family), {})
-            length = len(row.as_path) - 1
+        for round_idx, _, path in series_rows:
+            hops = round_hops.setdefault((round_idx, family), {})
+            length = len(path) - 1
             hops[length] = hops.get(length, 0) + 1
     assert index.paths.dual_stack_sites == sorted(
         path_families[V4] & path_families[V6]
@@ -278,7 +337,7 @@ def _assert_series_parity(db) -> None:
 
 
 def test_helpers_match_row_object_methods():
-    _assert_series_parity(populated_db(with_transitions=True))
+    _assert_series_parity(populated_db(with_transitions=True).freeze())
 
 
 def test_helper_parity_on_campaign(small_campaign):
@@ -294,8 +353,10 @@ def test_helper_parity_on_heavy_dns64_campaign():
         dns64=dataclasses.replace(cfg.dns64, enabled=True),
     )
     campaign = run_campaign(build_world(cfg))
-    assert sum(len(db.faults) for _, db in campaign.repository.items())
-    assert sum(len(db.transitions) for _, db in campaign.repository.items())
+    assert sum(db.table("faults").n_rows for _, db in campaign.repository.items())
+    assert sum(
+        db.table("transitions").n_rows for _, db in campaign.repository.items()
+    )
     for _, db in campaign.repository.items():
         _assert_series_parity(db)
 
@@ -317,13 +378,15 @@ def test_series_index_edge_cases():
     db = MeasurementDatabase(vantage_name="T")
     for round_idx in range(4):
         # site 1: IPv4 never converges, IPv6 always does
-        db.add_download(download(1, round_idx, V4, converged=False))
-        db.add_download(download(1, round_idx, V6, converged=True))
-        # site 2: seen over IPv4 only
-        db.add_download(download(2, round_idx, V4, converged=True))
-        db.add_path(PathObservation(2, round_idx, V4, dest_asn=7, as_path=(5, 7)))
-    _assert_series_parity(db)
-    cdb = columnar_view(db)
+        db.add_downloads([
+            download(1, round_idx, V4, converged=False),
+            download(1, round_idx, V6, converged=True),
+            # site 2: seen over IPv4 only
+            download(2, round_idx, V4, converged=True),
+        ])
+        db.add_paths([PathObservation(2, round_idx, V4, dest_asn=7, as_path=(5, 7))])
+    cdb = db.freeze()
+    _assert_series_parity(cdb)
     assert converged_speeds(cdb, 1, V4) == [] and mean_speed(cdb, 1, V4) is None
     assert series_index(cdb).downloads.series(1, V4) is None
     assert download_rounds(cdb, 1, V6) == [0, 1, 2, 3]
@@ -331,7 +394,7 @@ def test_series_index_edge_cases():
     assert dest_asn(cdb, 2, V4) == 7 and dest_asn(cdb, 2, V6) is None
     assert series_index(cdb).paths.dual_stack_sites == []
 
-    empty = columnar_view(MeasurementDatabase(vantage_name="E"))
+    empty = MeasurementDatabase(vantage_name="E").freeze()
     index = series_index(empty)
     assert _all_series(index) == ({}, {})
     assert index.downloads.round_means == {} and index.paths.round_hops == {}
@@ -340,12 +403,13 @@ def test_series_index_edge_cases():
 
 
 def test_series_index_rows_of_a_series_need_not_be_contiguous():
-    db = populated_db()
-    data = db.to_dict()
+    cdb = populated_db().freeze()
+    tables = dict(cdb.tables)
     for table in ("downloads", "paths"):  # round order interleaves families
-        data[table] = sorted(data[table], key=lambda row: row[2])
-    interleaved = series_index(ColumnarDatabase.from_database(db, data))
-    grouped = series_index(columnar_view(db))
+        rows = sorted(cdb.table(table).rows(), key=lambda row: row[2])
+        tables[table] = ColumnarTable.from_rows(table, rows)
+    interleaved = series_index(ColumnarDatabase("T", tables))
+    grouped = series_index(cdb)
     assert _all_series(interleaved) == _all_series(grouped)
     assert interleaved.downloads.round_means == grouped.downloads.round_means
     assert interleaved.paths.round_hops == grouped.paths.round_hops
@@ -377,7 +441,7 @@ def test_query_module_reexports_the_per_site_helpers():
 def test_series_index_does_not_keep_its_database_alive():
     """Reference counting alone frees a database and its index: a loaded
     store entry's column buffers must not wait for the cyclic collector."""
-    cdb = ColumnarDatabase.from_database(populated_db())
+    cdb = populated_db().freeze()
     dual_stack_sites(cdb)
     modal_as_path(cdb, 1, V4)
     ref = weakref.ref(cdb)
@@ -390,7 +454,7 @@ def test_series_index_does_not_keep_its_database_alive():
 
 
 def test_series_index_over_decoded_binary_columns(small_campaign):
-    repository = ColumnarRepository.from_views(small_campaign.repository)
+    repository = ColumnarRepository.from_repository(small_campaign.repository)
     head, segments, _ = encode_columnar_binary(repository)
     decoded = decode_columnar_binary(head + b"".join(bytes(s) for s in segments))
     for name, cdb in repository.databases.items():
@@ -405,8 +469,8 @@ def test_modal_path_tie_break_latest_wins():
 
     db = MeasurementDatabase(vantage_name="T")
     for round_idx, path in enumerate([(1, 2), (3, 4), (3, 4), (1, 2)]):
-        db.add_path(PathObservation(1, round_idx, V4, dest_asn=9, as_path=path))
-    _assert_series_parity(db)
-    cdb = columnar_view(db)
-    assert modal_as_path(cdb, 1, V4) == db.as_path(1, V4) == (1, 2)
+        db.add_paths([PathObservation(1, round_idx, V4, dest_asn=9, as_path=path)])
+    cdb = db.freeze()
+    _assert_series_parity(cdb)
+    assert modal_as_path(cdb, 1, V4) == _Rows(cdb).as_path(1, V4) == (1, 2)
     assert path_change_rounds(cdb, 1, V4) == [1, 3]

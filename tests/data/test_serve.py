@@ -84,7 +84,7 @@ def test_campaign_detail(app, served_store, small_campaign):
     vantage = sorted(names)[0]
     db = small_campaign.repository.database(vantage)
     tables = payload["vantages"][vantage]["tables"]
-    assert tables["downloads"] == len(db.to_dict()["downloads"])
+    assert tables["downloads"] == db.table("downloads").n_rows
 
 
 def test_table_page(app, served_store, small_campaign):
@@ -99,7 +99,7 @@ def test_table_page(app, served_store, small_campaign):
     assert payload["n_rows"] == 3
     assert payload["offset"] == 2
     assert payload["truncated"] is True
-    wire = small_campaign.repository.database(vantage).to_dict()["downloads"]
+    wire = small_campaign.repository.database(vantage).table("downloads").rows()
     assert payload["columns"]["site_id"] == [row[0] for row in wire[2:5]]
 
 
@@ -117,12 +117,10 @@ def test_query_endpoint_matches_direct_execution(app, served_store, small_campai
     ).encode()
     status, payload = app.handle("POST", f"/campaigns/{digest}/query", {}, body)
     assert status == 200
-    from repro.data.columnar import columnar_view
     from repro.data.query import Query, run_query
 
-    db = small_campaign.repository.database(vantage)
     direct = run_query(
-        columnar_view(db),
+        small_campaign.repository.database(vantage),
         Query.from_dict(json.loads(body)),
     )
     assert payload["columns"] == direct.columns
@@ -142,8 +140,7 @@ def test_classify_endpoint_is_byte_identical(app, served_store, small_campaign):
 
 
 def test_classify_on_a_loaded_entry_reuses_its_columns(served_store, small_campaign):
-    # The rebuilt row database memoises the columns it was decoded from,
-    # so the analysis does not transpose them a second time.
+    # The analysis reads the decoded columns themselves: no transpose.
     store, digest = served_store
     fresh = ServeApp(store, ServeConfig(cache_root=str(store.root)))
     vantage = sorted(small_campaign.repository.vantage_names)[0]

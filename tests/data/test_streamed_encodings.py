@@ -10,8 +10,8 @@ insertion order):
 
 * ``CentralRepository.content_digest()`` equals
   ``sha256(json.dumps(to_dict(), sort_keys=True, separators=(",", ":")))``,
-  and the compact chunks of ``WireEncoding.iter_json()`` equal
-  ``json.dumps(to_dict(), separators=(",", ":"))``;
+  and the chunks of ``CentralRepository.iter_canonical_json()`` are that
+  compact sorted-key dump;
 * ``"".join(iter_columnar_json(r))`` equals
   ``json.dumps(r.to_payload(), separators=(",", ":"))``, also for a
   repository decoded from ``columnar.bin`` (memoryview-backed columns).
@@ -27,13 +27,14 @@ from hypothesis import strategies as st
 
 from repro.data.columnar import (
     TABLE_SCHEMAS,
+    ColumnarDatabase,
     ColumnarRepository,
+    ColumnarTable,
     decode_columnar_binary,
     encode_columnar_binary,
     iter_columnar_json,
 )
-from repro.monitor.aggregate import CentralRepository, WireEncoding
-from repro.monitor.database import SERIAL_FORMAT, MeasurementDatabase
+from repro.monitor.aggregate import CentralRepository
 from repro.monitor.vantage import VantageKind, VantagePoint
 
 from .test_columnar_binary import TEXT, _row_strategy, repositories
@@ -42,8 +43,8 @@ COMPACT = (",", ":")
 
 
 def _wire_rows(draw, table: str) -> list:
-    """Random wire rows whose round column counts up by row, so the
-    database's in-order insert checks accept every row."""
+    """Random wire rows whose round column counts up by row, as the
+    monitor's in-order writes leave them."""
     rows = draw(st.lists(_row_strategy(table), max_size=6))
     position = [name for name, _ in TABLE_SCHEMAS[table]].index("round")
     for round_idx, row in enumerate(rows):
@@ -57,11 +58,10 @@ def central_repositories(draw) -> CentralRepository:
     names = draw(st.lists(TEXT.filter(bool), unique=True, max_size=3))
     repository = CentralRepository()
     for name in names:
-        data = {"format": SERIAL_FORMAT, "vantage_name": name}
-        for table in TABLE_SCHEMAS:
-            rows = _wire_rows(draw, table)
-            if rows or table not in ("faults", "transitions"):
-                data[table] = rows
+        tables = {
+            table: ColumnarTable.from_rows(table, _wire_rows(draw, table))
+            for table in TABLE_SCHEMAS
+        }
         vantage = VantagePoint(
             name=name,
             location=draw(TEXT),
@@ -72,15 +72,8 @@ def central_repositories(draw) -> CentralRepository:
             kind=draw(st.sampled_from(list(VantageKind))),
             external_inputs=draw(st.booleans()),
         )
-        repository.add(vantage, MeasurementDatabase.from_dict(data))
+        repository.add(vantage, ColumnarDatabase(name, tables))
     return repository
-
-
-def _encoding(repository: CentralRepository) -> WireEncoding:
-    encoding = WireEncoding(repository)
-    for vantage, db in repository.items():
-        encoding.add(vantage.name, db.to_dict())
-    return encoding
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,8 +87,8 @@ def test_chunked_content_digest_equals_definition(repository):
 @settings(max_examples=60, deadline=None)
 @given(repository=central_repositories())
 def test_repository_json_chunks_equal_compact_dump(repository):
-    compact = json.dumps(repository.to_dict(), separators=COMPACT)
-    assert "".join(_encoding(repository).iter_json()) == compact
+    compact = json.dumps(repository.to_dict(), sort_keys=True, separators=COMPACT)
+    assert "".join(repository.iter_canonical_json()) == compact
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,13 +109,15 @@ def test_columnar_chunks_equal_one_shot_payload(repository):
     assert "".join(iter_columnar_json(decoded)) == expected
 
 
-def test_from_repository_hands_each_database_rows_once(small_campaign):
-    repository = small_campaign.repository
-    seen = []
-    ColumnarRepository.from_repository(
-        repository, on_rows=lambda name, data: seen.append((name, data))
-    )
-    assert [name for name, _ in seen] == repository.vantage_names
-    for name, data in seen:
-        assert data == repository.database(name).to_dict()
+def test_from_repository_wraps_the_databases(small_campaign):
+    from repro.obs import metrics
 
+    repository = small_campaign.repository
+    encodes = metrics.counter("data.columnar.encodes")
+    before = encodes.value
+    columnar = ColumnarRepository.from_repository(repository)
+    assert encodes.value == before  # no transpose
+    assert list(columnar.databases) == repository.vantage_names
+    for vantage, cdb in repository.items():
+        assert columnar.databases[vantage.name] is cdb
+        assert columnar.vantages[vantage.name] == vantage.to_dict()

@@ -26,26 +26,37 @@ V4 = AddressFamily.IPV4
 V6 = AddressFamily.IPV6
 
 
-def tiny_campaign():
+def tiny_database(*dns_rounds) -> MeasurementDatabase:
+    """The tiny campaign's write buffer; ``dns_rounds`` adds one more
+    dual-stack DNS row per (round, site id)."""
     db = MeasurementDatabase(vantage_name="T")
-    db.add_dns(DnsObservation(1, "s1", 0, True, True))
-    db.add_dns(DnsObservation(2, "s2", 0, True, False))
+    db.add_dns_round(0, (2, 2, 1), [DnsObservation(1, "s1", 0, True, True)])
+    for round_idx, site_id in dns_rounds:
+        db.add_dns_round(
+            round_idx, (0, 0, 0),
+            [DnsObservation(site_id, f"s{site_id}", round_idx, True, True)],
+        )
     for family in (V4, V6):
-        for round_idx in (0, 1):
-            db.add_download(
-                DownloadObservation(
-                    site_id=1,
-                    round_idx=round_idx,
-                    family=family,
-                    n_samples=5,
-                    mean_speed=100.0 + round_idx,
-                    ci_half_width=1.5,
-                    converged=True,
-                    page_bytes=1000,
-                    timestamp=float(round_idx),
-                )
+        db.add_downloads([
+            DownloadObservation(
+                site_id=1,
+                round_idx=round_idx,
+                family=family,
+                n_samples=5,
+                mean_speed=100.0 + round_idx,
+                ci_half_width=1.5,
+                converged=True,
+                page_bytes=1000,
+                timestamp=float(round_idx),
             )
-    db.add_path(PathObservation(1, 0, V4, dest_asn=30, as_path=(10, 20, 30)))
+            for round_idx in (0, 1)
+        ])
+    db.add_paths([PathObservation(1, 0, V4, dest_asn=30, as_path=(10, 20, 30))])
+    return db
+
+
+def tiny_campaign(*dns_rounds):
+    db = tiny_database(*dns_rounds).freeze()
     vantage = VantagePoint(
         name="T",
         location="X",
@@ -61,6 +72,13 @@ def tiny_campaign():
         "T": [RoundReport(0, 2, 2, 1, 1, 12.5), RoundReport(1, 2, 0, 1, 1, 11.0)]
     }
     return repository, reports
+
+
+def _repository_of(columnar) -> CentralRepository:
+    repository = CentralRepository()
+    for name, vantage in columnar.vantages.items():
+        repository.add(VantagePoint.from_dict(vantage), columnar.databases[name])
+    return repository
 
 
 class TestConfigDigest:
@@ -279,7 +297,7 @@ class TestColumnarArtifact:
         digest = config_digest(cfg)
         meta, columnar = store.load_columnar_entry(digest)
         assert meta["digest"] == digest
-        assert columnar.to_repository().content_digest() == (
+        assert _repository_of(columnar).content_digest() == (
             repository.content_digest()
         )
         assert store.load_columnar_entry("deadbeef") is None
@@ -294,7 +312,7 @@ class TestColumnarArtifact:
         binary_path = entry / "columnar.bin"
         assert binary_path.read_bytes().startswith(BINARY_MAGIC)
         columnar = load_columnar_binary(binary_path)
-        assert columnar.to_repository().content_digest() == (
+        assert _repository_of(columnar).content_digest() == (
             repository.content_digest()
         )
 
@@ -340,7 +358,7 @@ class TestColumnarArtifact:
         assert store.load(cfg) is None
 
     def test_loaded_databases_memoise_their_columns(self, tmp_path):
-        from repro.data.columnar import columnar_view
+        from repro.data.columnar import LazyColumnarDatabase
         from repro.obs import metrics
 
         store = CampaignStore(tmp_path)
@@ -350,11 +368,11 @@ class TestColumnarArtifact:
         encodes = metrics.counter("data.columnar.encodes")
         before = encodes.value
         loaded = store.load_repository(cfg)
-        view = columnar_view(loaded.database("T"))
-        assert encodes.value == before  # the decoded columns, no transpose
-        assert view.row_counts() == columnar_view(
-            repository.database("T")
-        ).row_counts()
+        view = loaded.database("T")
+        # the decoded columns themselves: no transpose, no row objects
+        assert isinstance(view, LazyColumnarDatabase)
+        assert encodes.value == before
+        assert view.row_counts() == repository.database("T").row_counts()
 
 
 #: content digest of :func:`tiny_campaign`'s repository.
@@ -397,8 +415,7 @@ class TestAtomicSave:
     def test_failed_save_keeps_the_previous_entry(self, tmp_path, monkeypatch):
         store = CampaignStore(tmp_path)
         cfg = small_config(seed=3)
-        previous, reports = tiny_campaign()
-        previous.database("T").add_dns(DnsObservation(3, "s3", 1, True, True))
+        previous, reports = tiny_campaign((1, 3))
         store.save(cfg, previous, reports)
         self._fail_after_binary(monkeypatch)
         with pytest.raises(OSError):
@@ -495,8 +512,9 @@ class TestColumnarMemo:
         before = encodes.value
         CampaignStore(tmp_path).save(cfg, campaign.repository, campaign.reports)
         build_contexts(cfg, campaign)
-        # One transpose per database: the save's, reused by the analysis.
-        assert encodes.value - before == len(campaign.repository.vantage_names)
+        # The shards froze each database once; the save and the analysis
+        # read those columns without transposing again.
+        assert encodes.value == before
 
 
 class TestObserverReports:

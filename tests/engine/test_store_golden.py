@@ -36,7 +36,6 @@ from repro.core.world import build_world
 from repro.data.columnar import iter_columnar_json
 from repro.engine.store import CampaignStore, config_digest
 from repro.faults import fault_preset
-from repro.monitor.aggregate import WireEncoding
 
 FIXTURE = (
     pathlib.Path(__file__).parent.parent / "fixtures" / "golden_store_entry.json"
@@ -87,20 +86,21 @@ def _entry_summary(tmp_path: pathlib.Path, config) -> dict:
     }
     assert sorted(files) == ["columnar.bin", "meta.json", "reports.json"]
     loaded = store.load_repository(config)
-    encoding = WireEncoding(loaded)
-    for vantage, db in loaded.items():
-        encoding.add(vantage.name, db.to_dict())
-    files["repository.json"] = _sha256_of_chunks(encoding.iter_json())
+    files["repository.json"] = _sha256_of_chunks(
+        [json.dumps(loaded.to_dict(), separators=(",", ":"))]
+    )
     _, columnar = store.load_columnar_entry(config_digest(config))
     files["columnar.json"] = _sha256_of_chunks(iter_columnar_json(columnar))
     meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
-    databases = [result.repository.database(n) for n in result.repository.vantage_names]
+    databases = [cdb for _, cdb in result.repository.items()]
     return {
         "files": files,
         "repository_digest": meta["repository_digest"],
         "rows": {
-            "faults": sum(len(db.faults) for db in databases),
-            "transitions": sum(len(db.transitions) for db in databases),
+            "faults": sum(cdb.table("faults").n_rows for cdb in databases),
+            "transitions": sum(
+                cdb.table("transitions").n_rows for cdb in databases
+            ),
         },
     }
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.analysis.classify import SiteCategory
 from repro.analysis.hypotheses import ASVerdict, verdict_fractions
+from repro.data.series import v6_reachability
 from repro.net.addresses import AddressFamily
 from repro.net.tunnels import TunnelKind
 
@@ -113,11 +114,13 @@ class TestGroundTruthAgreement:
         """No v6 measurement exists before a site's adoption round."""
         world = small_data.world
         db = small_data.context("Penn").db
-        for (sid, family), rows in list(db.downloads.items())[:300]:
-            if family is not V6:
+        first_rounds: dict = {}
+        for sid, family, round_idx, *_ in db.table("downloads").rows():
+            first_rounds.setdefault((sid, family), round_idx)
+        for (sid, family), first_round in list(first_rounds.items())[:300]:
+            if family != V6.value:
                 continue
             site = world.catalog.site(sid)
-            first_round = rows[0].round_idx
             earliest = site.adoption_round
             if earliest is None:
                 earliest = site.w6d_event_round
@@ -141,7 +144,7 @@ class TestCrossVantageConsistency:
     def test_reachability_similar_across_vantages(self, small_data, small_cfg):
         last = small_cfg.campaign.n_rounds - 1
         values = [
-            small_data.campaign.repository.database(name).v6_reachability(last)
+            v6_reachability(small_data.campaign.repository.database(name), last)
             for name in ANALYSIS_VANTAGES
         ]
         assert max(values) - min(values) < 0.05

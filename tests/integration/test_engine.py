@@ -20,10 +20,10 @@ from repro.core.campaign import (
     run_world_ipv6_day,
 )
 from repro.core.world import build_world
+from repro.data.columnar import ColumnarDatabase
 from repro.engine.executor import SerialExecutor
 from repro.engine.store import config_digest
 from repro.experiments import scenario
-from repro.monitor.database import MeasurementDatabase
 from repro.obs import metrics
 
 #: tiny but non-degenerate scenario for cross-backend runs.
@@ -144,7 +144,7 @@ class TestInMemoryHandOver:
         results = SerialExecutor().run(shards, world=world)
         merged = merge_shard_results(world, results)
         for result in results:
-            assert isinstance(result.database, MeasurementDatabase)
+            assert isinstance(result.database, ColumnarDatabase)
             assert merged.repository.database(result.vantage_name) is (
                 result.database
             )

@@ -47,32 +47,31 @@ def _golden_repository() -> CentralRepository:
     does.  Every table is populated and every fault kind appears.
     """
     db = MeasurementDatabase(vantage_name="G1")
-    db.add_dns(DnsObservation(1, "site-1", 0, True, True))
-    db.add_dns(DnsObservation(2, "site-2", 0, True, False))
-    db.add_dns(DnsObservation(1, "site-1", 1, True, True))
-    db.add_page_check(PageCheck(1, 0, 2048, 2048, True))
-    db.add_page_check(PageCheck(1, 1, 2048, 1024, False))
+    db.add_dns_round(0, (2, 2, 1), [DnsObservation(1, "site-1", 0, True, True)])
+    db.add_dns_round(1, (1, 1, 1), [DnsObservation(1, "site-1", 1, True, True)])
+    db.add_page_checks([
+        PageCheck(1, 0, 2048, 2048, True),
+        PageCheck(1, 1, 2048, 1024, False),
+    ])
     for round_idx in (0, 1):
-        for family, speed in ((V4, 220.5), (V6, 180.25)):
-            db.add_download(
-                DownloadObservation(
-                    site_id=1,
-                    round_idx=round_idx,
-                    family=family,
-                    n_samples=10 + round_idx,
-                    mean_speed=speed + round_idx,
-                    ci_half_width=4.125,
-                    converged=True,
-                    page_bytes=2048,
-                    timestamp=3600.0 * round_idx,
-                )
+        db.add_downloads([
+            DownloadObservation(
+                site_id=1,
+                round_idx=round_idx,
+                family=family,
+                n_samples=10 + round_idx,
+                mean_speed=speed + round_idx,
+                ci_half_width=4.125,
+                converged=True,
+                page_bytes=2048,
+                timestamp=3600.0 * round_idx,
             )
-        db.add_path(
-            PathObservation(1, round_idx, V4, dest_asn=30, as_path=(10, 20, 30))
-        )
-        db.add_path(
-            PathObservation(1, round_idx, V6, dest_asn=30, as_path=(10, 40, 30))
-        )
+            for family, speed in ((V4, 220.5), (V6, 180.25))
+        ])
+        db.add_paths([
+            PathObservation(1, round_idx, V4, dest_asn=30, as_path=(10, 20, 30)),
+            PathObservation(1, round_idx, V6, dest_asn=30, as_path=(10, 40, 30)),
+        ])
     db.add_fault(FaultObservation(1, 0, V6, "timeout"))
     db.add_fault(FaultObservation(1, 0, V6, "timeout"))
     db.add_fault(FaultObservation(2, 0, V4, "reset"))
@@ -90,7 +89,7 @@ def _golden_repository() -> CentralRepository:
         kind=VantageKind.ACADEMIC,
     )
     repository = CentralRepository()
-    repository.add(vantage, db)
+    repository.add(vantage, db.freeze())
     return repository
 
 

@@ -52,9 +52,15 @@ def _faulty_config(seed: int):
 
 def _fault_counters(repository):
     return {
-        name: Counter(obs.kind for obs in repository.database(name).faults)
+        name: Counter(
+            repository.database(name).table("faults").column("kind").values_list()
+        )
         for name in repository.vantage_names
     }
+
+
+def _wire_rows(cdb) -> dict:
+    return {name: table.rows() for name, table in cdb.tables.items()}
 
 
 class TestFaultsOffDigestUnchanged:
@@ -71,7 +77,7 @@ class TestFaultsOffDigestUnchanged:
     def test_no_faults_recorded_without_a_plan(self, small_campaign):
         repo = small_campaign.repository
         for name in repo.vantage_names:
-            assert repo.database(name).faults == []
+            assert repo.database(name).table("faults").n_rows == 0
 
 
 class TestSeedSweepDeterminism:
@@ -108,7 +114,7 @@ class TestSeedSweepDeterminism:
             for report in reports
         )
         total_db_faults = sum(
-            len(result.repository.database(name).faults)
+            result.repository.database(name).table("faults").n_rows
             for name in result.repository.vantage_names
         )
         assert total_report_failures == total_db_faults > 0
@@ -152,9 +158,8 @@ class TestGracefulDegradation:
         )
         # The campaign finished and the affected vantage matches serial.
         assert victim in process.repository.vantage_names
-        assert (
-            process.repository.database(victim).to_dict()
-            == serial.repository.database(victim).to_dict()
+        assert _wire_rows(process.repository.database(victim)) == _wire_rows(
+            serial.repository.database(victim)
         )
         assert (
             process.repository.content_digest()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.data.columnar import ColumnarDatabase
 from repro.errors import MonitorError
 from repro.monitor.aggregate import CentralRepository
 from repro.monitor.database import DownloadObservation, MeasurementDatabase
@@ -26,23 +27,24 @@ def vantage(name: str, as_path=True) -> VantagePoint:
     )
 
 
-def db_with_site(name: str, site_id: int) -> MeasurementDatabase:
+def db_with_site(name: str, *site_ids: int) -> ColumnarDatabase:
     db = MeasurementDatabase(vantage_name=name)
-    for family in (V4, V6):
-        db.add_download(
-            DownloadObservation(
-                site_id=site_id,
-                round_idx=0,
-                family=family,
-                n_samples=5,
-                mean_speed=10.0,
-                ci_half_width=0.5,
-                converged=True,
-                page_bytes=100,
-                timestamp=0.0,
-            )
+    db.add_downloads([
+        DownloadObservation(
+            site_id=site_id,
+            round_idx=0,
+            family=family,
+            n_samples=5,
+            mean_speed=10.0,
+            ci_half_width=0.5,
+            converged=True,
+            page_bytes=100,
+            timestamp=0.0,
         )
-    return db
+        for site_id in site_ids
+        for family in (V4, V6)
+    ])
+    return db.freeze()
 
 
 class TestCentralRepository:
@@ -81,14 +83,7 @@ class TestCentralRepository:
 
     def test_common_dual_stack_sites(self):
         repo = CentralRepository()
-        db_a = db_with_site("A", 1)
-        db_a.add_download(
-            DownloadObservation(2, 0, V4, 5, 1.0, 0.1, True, 10, 0.0)
-        )
-        db_a.add_download(
-            DownloadObservation(2, 0, V6, 5, 1.0, 0.1, True, 10, 0.0)
-        )
-        repo.add(vantage("A"), db_a)
+        repo.add(vantage("A"), db_with_site("A", 1, 2))
         repo.add(vantage("B"), db_with_site("B", 1))
         assert repo.common_dual_stack_sites() == {1}
 

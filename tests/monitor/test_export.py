@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+from repro.data.columnar import ColumnarDatabase
+from repro.data.series import converged_speeds
 from repro.errors import MonitorError
 from repro.monitor.aggregate import CentralRepository
 from repro.monitor.database import (
@@ -28,19 +30,19 @@ V6 = AddressFamily.IPV6
 
 
 @pytest.fixture()
-def db() -> MeasurementDatabase:
+def db() -> ColumnarDatabase:
     db = MeasurementDatabase(vantage_name="X")
     for round_idx in range(3):
-        db.add_dns(DnsObservation(1, "s1", round_idx, True, True))
-        db.add_download(
-            DownloadObservation(1, round_idx, V4, 5, 10.5, 0.4, True, 900, 1.0)
+        db.add_dns_round(
+            round_idx, (1, 1, 1), [DnsObservation(1, "s1", round_idx, True, True)]
         )
-        db.add_download(
-            DownloadObservation(1, round_idx, V6, 5, 9.5, 0.3, True, 900, 1.0)
-        )
-        db.add_path(PathObservation(1, round_idx, V4, 3, (1, 2, 3)))
-    db.add_page_check(PageCheck(1, 0, 900, 900, True))
-    return db
+        db.add_downloads([
+            DownloadObservation(1, round_idx, V4, 5, 10.5, 0.4, True, 900, 1.0),
+            DownloadObservation(1, round_idx, V6, 5, 9.5, 0.3, True, 900, 1.0),
+        ])
+        db.add_paths([PathObservation(1, round_idx, V4, 3, (1, 2, 3))])
+    db.add_page_checks([PageCheck(1, 0, 900, 900, True)])
+    return db.freeze()
 
 
 class TestExportDatabase:
@@ -73,7 +75,7 @@ class TestExportDatabase:
                 for row in rows
                 if row["site_id"] == "1" and row["family"] == family.value
             ]
-            assert speeds == db.speeds(1, family)
+            assert speeds == converged_speeds(db, 1, family)
 
 
 class TestExportRepository:
@@ -113,4 +115,6 @@ class TestEndToEndExport:
         penn_downloads = tmp_path / "data" / "Penn" / "downloads.csv"
         with penn_downloads.open() as handle:
             n_rows = sum(1 for _ in handle) - 1
-        assert n_rows == len(small_campaign.repository.database("Penn"))
+        assert n_rows == small_campaign.repository.database("Penn").table(
+            "downloads"
+        ).n_rows

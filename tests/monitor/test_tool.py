@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.data.series import (
+    converged_speeds,
+    dest_asn,
+    modal_as_path,
+    v6_reachability,
+)
 from repro.errors import MonitorError
 from repro.monitor.tool import MonitoringTool
 from repro.net.addresses import AddressFamily
@@ -75,7 +81,7 @@ class TestRecordedData:
         assert queried == 4
         assert v4 == 4
         assert v6 == 3
-        assert tool.database.v6_reachability(0) == pytest.approx(3 / 4)
+        assert v6_reachability(tool.database.freeze(), 0) == pytest.approx(3 / 4)
 
     def test_page_check_blocks_different_content(self, tool):
         tool.run_round(0)
@@ -100,26 +106,27 @@ class TestRecordedData:
     def test_path_observations(self, tool):
         tool.run_round(0)
         sid = SITES["slowv6.example"]
-        assert tool.database.as_path(sid, V4) == (1, 2)
-        assert tool.database.as_path(sid, V6) == (1, 3, 4, 5, 6, 2)
-        assert tool.database.dest_asn(sid, V6) == 2
+        cdb = tool.database.freeze()
+        assert modal_as_path(cdb, sid, V4) == (1, 2)
+        assert modal_as_path(cdb, sid, V6) == (1, 3, 4, 5, 6, 2)
+        assert dest_asn(cdb, sid, V6) == 2
 
     def test_slow_v6_is_measurably_slower(self, tool):
         for round_idx in range(3):
             tool.run_round(round_idx)
-        db = tool.database
+        db = tool.database.freeze()
         sid = SITES["slowv6.example"]
-        v4_mean = sum(db.speeds(sid, V4)) / 3
-        v6_mean = sum(db.speeds(sid, V6)) / 3
+        v4_mean = sum(converged_speeds(db, sid, V4)) / 3
+        v6_mean = sum(converged_speeds(db, sid, V6)) / 3
         assert v6_mean < 0.7 * v4_mean
 
     def test_healthy_site_is_comparable(self, tool):
         for round_idx in range(3):
             tool.run_round(round_idx)
-        db = tool.database
+        db = tool.database.freeze()
         sid = SITES["healthy.example"]
-        v4_mean = sum(db.speeds(sid, V4)) / 3
-        v6_mean = sum(db.speeds(sid, V6)) / 3
+        v4_mean = sum(converged_speeds(db, sid, V4)) / 3
+        v6_mean = sum(converged_speeds(db, sid, V6)) / 3
         assert abs(v6_mean - v4_mean) / v4_mean < 0.1
 
 

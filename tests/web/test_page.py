@@ -7,27 +7,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.addresses import AddressFamily
-from repro.web.page import WebPage
+from repro.web.page import WebPage, identical_within, relative_size_difference
 
 
 class TestWebPage:
     def test_same_content(self):
         page = WebPage.same_content(1000)
         assert page.size(AddressFamily.IPV4) == page.size(AddressFamily.IPV6) == 1000
-        assert page.identical_within(0.06)
-        assert page.relative_size_difference() == 0.0
+        assert identical_within(page.v4_bytes, page.v6_bytes, 0.06)
+        assert relative_size_difference(page.v4_bytes, page.v6_bytes) == 0.0
 
     def test_identity_threshold_boundary(self):
-        page = WebPage(v4_bytes=1000, v6_bytes=940)
-        assert page.relative_size_difference() == pytest.approx(0.06)
-        assert page.identical_within(0.06)
-        assert not WebPage(v4_bytes=1000, v6_bytes=930).identical_within(0.06)
+        # exactly 6% of the larger page is still identical; 7% is not
+        assert relative_size_difference(1000, 940) == pytest.approx(0.06)
+        assert identical_within(1000, 940, 0.06)
+        assert identical_within(940, 1000, 0.06)
+        assert not identical_within(1000, 930, 0.06)
 
     def test_difference_relative_to_larger(self):
         # Symmetric regardless of which side is bigger.
-        a = WebPage(v4_bytes=1000, v6_bytes=900)
-        b = WebPage(v4_bytes=900, v6_bytes=1000)
-        assert a.relative_size_difference() == b.relative_size_difference()
+        assert relative_size_difference(1000, 900) == relative_size_difference(
+            900, 1000
+        )
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):
@@ -35,5 +36,5 @@ class TestWebPage:
 
     @given(st.integers(1, 10**7), st.integers(1, 10**7))
     def test_difference_in_unit_range(self, v4, v6):
-        diff = WebPage(v4_bytes=v4, v6_bytes=v6).relative_size_difference()
+        diff = relative_size_difference(v4, v6)
         assert 0.0 <= diff < 1.0
