@@ -23,8 +23,21 @@ Per-site draw accounting is the whole game — a DNS-filtered site
 consumes nothing, a v6-unreachable site still burns the IPv4 probe's
 Gaussian, a measured site runs two converging loops, and a failed GET
 draws nothing — so the per-vantage stream advances exactly as the
-pinned content digests require.  In a fault-free world the fault steps
-are skipped and the loops draw their first samples as one block.
+pinned content digests require.  Every draw is read off one
+:class:`~repro.batch.sampling.GaussTape` per round, in dispatch order.
+The tape starts with the plan's reserved draws, the ones the round is
+sure to make, drawn as one block; a loop that needs more samples draws
+them from the stream on demand.  The reservation is never more than the
+round consumes, so the tape is never over-drawn and the stream ends the
+round exactly where one ``gauss`` call per sample leaves it.  A faulty
+world reserves nothing and draws every sample on demand.
+
+The pool is one heap of (free time, slot).  The slot occupancy at a
+dispatch — the sites still running plus the one dispatched — is the
+pool size minus the slots free at that instant, plus one.  The slots
+free at the dispatch instant are the heap's entries tied with its root,
+a subtree at the top of the heap, so they are counted by walking it,
+and only while the round's maximum could still rise.
 """
 
 from __future__ import annotations
@@ -43,8 +56,8 @@ from ..monitor.download import backoff_seconds, probe_page, run_converging_loop
 from ..monitor.tool import RoundReport
 from ..net.addresses import AddressFamily
 from ..obs import get_logger, metrics
-from ..web.page import identical_within
 from .plan import RoundPlan, SitePlan, build_round_plan
+from .sampling import GaussTape
 
 #: nominal seconds spent on a site that fails an early phase.
 DNS_PHASE_SECONDS = 0.2
@@ -91,11 +104,40 @@ def run_batched_round(
     return _RoundExecution(tool, plan).run(n_new, round_start)
 
 
+def _occupancy(
+    slots: list[tuple[float, int]], free_at: float, n_slots: int, floor: int
+) -> int:
+    """Sites running at a dispatch at ``free_at``, the dispatched one included.
+
+    ``slots`` is the pool heap before the dispatch, with ``free_at`` at
+    its root.  Slots free at ``free_at`` are the entries tied with the
+    root; they form a subtree at the top of the heap (a tied entry's
+    parent is tied too), walked here until the count shows the
+    occupancy cannot exceed ``floor``.
+    """
+    limit = n_slots + 1 - floor  # at this many free slots, occupancy <= floor
+    n_free = 0
+    stack = [0]
+    pop, push = stack.pop, stack.append
+    while stack:
+        idx = pop()
+        n_free += 1
+        if n_free >= limit:
+            return floor
+        child = 2 * idx + 1
+        if child < n_slots and slots[child][0] == free_at:
+            push(child)
+        child += 1
+        if child < n_slots and slots[child][0] == free_at:
+            push(child)
+    return n_slots - n_free + 1
+
+
 class _RoundExecution:
     """One round's execute phase: per-site work plus the rows it makes."""
 
     __slots__ = (
-        "tool", "plan", "round_idx", "cfg", "rng", "fault_hook", "fault_check",
+        "tool", "plan", "round_idx", "cfg", "tape", "fault_hook", "fault_check",
         "record_transitions", "listed_counts", "dns_rows", "page_rows",
         "download_rows", "path_rows", "transition_rows", "fault_rows",
         "n_dns_filtered", "n_dual", "n_unreachable", "n_identity_failed",
@@ -109,7 +151,11 @@ class _RoundExecution:
         self.plan = plan
         self.round_idx = plan.round_idx
         self.cfg = tool.config
-        self.rng = tool.rng
+        self.tape = GaussTape(
+            tool.rng,
+            env.client.model.config.measurement_noise_sigma,
+            plan.reserved_draws,
+        )
         self.fault_hook = env.client.fault_hook
         self.fault_check = env.resolver.fault_check
         self.record_transitions = env.record_transitions
@@ -127,32 +173,25 @@ class _RoundExecution:
     def run(self, n_new: int, round_start: float) -> RoundReport:
         """Walk the dispatch order through the worker pool."""
         plan = self.plan
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        slots = [(round_start, slot) for slot in range(self.cfg.max_concurrent)]
-        heapq.heapify(slots)
-        # Finish times of dispatched sites; dispatch instants are
-        # non-decreasing, so draining entries <= free_at leaves exactly
-        # the sites still busy at this dispatch.
-        busy: list[float] = []
+        heapreplace = heapq.heapreplace
+        n_slots = self.cfg.max_concurrent
+        slots = [(round_start, slot) for slot in range(n_slots)]
         occupancy_max = 0
         makespan = round_start
         monitor_site = self._site
         for site in plan.sites:
-            free_at, slot = heappop(slots)
-            while busy and busy[0] <= free_at:
-                heappop(busy)
-            occupancy = 1 + len(busy)
-            if occupancy > occupancy_max:
-                occupancy_max = occupancy
+            free_at, slot = slots[0]
+            if occupancy_max < n_slots:
+                occupancy = _occupancy(slots, free_at, n_slots, occupancy_max)
+                if occupancy > occupancy_max:
+                    occupancy_max = occupancy
             if site is None:
                 self.n_dns_filtered += 1
                 duration = DNS_PHASE_SECONDS
             else:
                 duration = monitor_site(site, free_at)
             finish = free_at + duration
-            heappush(slots, (finish, slot))
-            heappush(busy, finish)
+            heapreplace(slots, (finish, slot))
             if finish > makespan:
                 makespan = finish
         self._flush(occupancy_max)
@@ -243,12 +282,12 @@ class _RoundExecution:
         # Page identity phase: one GET per family, compare byte counts.
         # An unreachable destination ends the site where the monitor's
         # open failed: a v6-dark site after the v4 probe drew its Gaussian.
-        cfg, rng, hook = self.cfg, self.rng, self.fault_hook
+        cfg, tape, hook = self.cfg, self.tape, self.fault_hook
         session_v4 = site.session_v4
         if session_v4 is None:
             self.n_unreachable += 1
             return DNS_PHASE_SECONDS + dns_extra + PAGE_CHECK_SECONDS
-        v4_seconds, v4_failures = probe_page(session_v4, rng, cfg, hook)
+        v4_seconds, v4_failures = probe_page(session_v4, tape, cfg, hook)
         if v4_failures:
             self._record_faults(site_id, _V4, v4_failures)
         session_v6 = site.session_v6
@@ -256,22 +295,20 @@ class _RoundExecution:
             # The site costs no probe seconds, though the v4 probe ran.
             self.n_unreachable += 1
             return DNS_PHASE_SECONDS + dns_extra + PAGE_CHECK_SECONDS
-        v6_seconds, v6_failures = probe_page(session_v6, rng, cfg, hook)
+        v6_seconds, v6_failures = probe_page(session_v6, tape, cfg, hook)
         if v6_failures:
             self._record_faults(site_id, _V6, v6_failures)
         if "exhausted" in v4_failures or "exhausted" in v6_failures:
             # A probe's retry budget ran out: give the site up for this
             # round, like an unreachable destination.
             return DNS_PHASE_SECONDS + dns_extra + v4_seconds + v6_seconds
-        v4_bytes = session_v4.endpoint.page_bytes
-        v6_bytes = session_v6.endpoint.page_bytes
-        identical = identical_within(v4_bytes, v6_bytes, cfg.identity_threshold)
+        identical = site.identical
         self.page_rows.append(
             PageCheck(
                 site_id=site_id,
                 round_idx=round_idx,
-                v4_bytes=v4_bytes,
-                v6_bytes=v6_bytes,
+                v4_bytes=session_v4.endpoint.page_bytes,
+                v6_bytes=session_v6.endpoint.page_bytes,
                 identical=identical,
             )
         )
@@ -286,7 +323,7 @@ class _RoundExecution:
         fully_measured = True
         for family, session in ((_V4, session_v4), (_V6, session_v6)):
             n, mean, half, loop_seconds, converged, failures = (
-                run_converging_loop(session, rng, cfg, hook)
+                run_converging_loop(session, tape, cfg, hook)
             )
             duration += loop_seconds
             if failures:

@@ -11,6 +11,23 @@ DNS changed), opens a dual-stack site's sessions with
 reachable, as the monitor probes), and tallies the round's top-list
 queries.
 
+Opening is split the same way as the DNS: what never changes between
+rounds is a :class:`~repro.web.http.RouteBinding`, built on a session's
+first open and kept by the client per (final name, address), holding
+the endpoint's fixed fields, the owner AS and each path asked for so
+far with its path factor.  A DNS change gives a name a new address and
+so a new binding.  Per round, an open only scales the speed by the
+site's behaviour, picks the path by the round's path change, runs the
+round's fault checks and takes the round noise.
+
+In a fault-free world the plan also counts the Gaussians the round is
+sure to draw from the shared stream (:attr:`RoundPlan.reserved_draws`),
+so the execute phase can draw them as one block: none for a site whose
+IPv4 destination is unreachable, one (the IPv4 probe) when only IPv6 is,
+two probes otherwise, plus ``min(min_downloads, max_downloads)`` per
+family when the pages are identical.  A faulty world reserves none,
+since an injected fault can end any site before it draws.
+
 Everything that depends on the dispatch instant or the shared stream is
 left to the execute phase: injected DNS timeouts (keyed by the clock at
 dispatch), identity probes and download loops.
@@ -23,6 +40,7 @@ from dataclasses import dataclass
 from ..errors import UnreachableError
 from ..net.addresses import AddressFamily
 from ..web.http import DownloadSession
+from ..web.page import identical_within
 
 
 @dataclass(slots=True)
@@ -33,7 +51,8 @@ class SitePlan:
     single-stack site is planned only in a faulty world (its DNS faults
     still cost time and rows).  A dual-stack site carries its sessions:
     ``None`` marks an unreachable destination, and the IPv6 session is
-    opened only where IPv4 was reachable.
+    opened only where IPv4 was reachable.  ``identical`` is the page
+    identity check over both sessions' page bytes.
     """
 
     name: str
@@ -43,6 +62,7 @@ class SitePlan:
     has_v6: bool
     session_v4: DownloadSession | None = None
     session_v6: DownloadSession | None = None
+    identical: bool = False
 
 
 @dataclass(slots=True)
@@ -60,6 +80,8 @@ class RoundPlan:
     sites: list[SitePlan | None]
     #: fault-free top-list tallies: (queried, has_v4, has_v6).
     listed_counts: tuple[int, int, int]
+    #: Gaussians the round is sure to draw (0 in a faulty world).
+    reserved_draws: int = 0
 
 
 def build_round_plan(
@@ -75,9 +97,14 @@ def build_round_plan(
     site_id_of = env.site_id_of
     filed = resolver.sites.get
     resolve = resolver.resolve
+    cfg = tool.config
+    threshold = cfg.identity_threshold
+    loop_draws = 2 + 2 * min(cfg.min_downloads, cfg.max_downloads)
+    v4, v6 = AddressFamily.IPV4, AddressFamily.IPV6
 
     sites: list[SitePlan | None] = []
     n_resolved = 0
+    reserved = 0
     for name in order:
         pair = filed(name)
         if pair is None:
@@ -94,16 +121,22 @@ def build_round_plan(
             res4, res6 = pair
             site = SitePlan(name, site_id, name in listed_now, True, True)
             try:
-                site.session_v4 = open_session(
-                    res4.final_name, res4.addresses[0], AddressFamily.IPV4,
-                    round_idx,
+                site.session_v4 = session_v4 = open_session(
+                    res4.final_name, res4.addresses[0], v4, round_idx
                 )
-                site.session_v6 = open_session(
-                    res6.final_name, res6.addresses[0], AddressFamily.IPV6,
-                    round_idx,
+                site.session_v6 = session_v6 = open_session(
+                    res6.final_name, res6.addresses[0], v6, round_idx
                 )
             except UnreachableError:
-                pass
+                if site.session_v4 is not None:
+                    reserved += 1  # the IPv4 probe still draws
+            else:
+                site.identical = identical_within(
+                    session_v4.endpoint.page_bytes,
+                    session_v6.endpoint.page_bytes,
+                    threshold,
+                )
+                reserved += loop_draws if site.identical else 2
         else:
             site = SitePlan(
                 name, site_id, name in listed_now,
@@ -119,4 +152,9 @@ def build_round_plan(
         len(listed) - len(listed & resolver.no_v4),
         len(listed & resolver.v6),
     )
-    return RoundPlan(round_idx=round_idx, sites=sites, listed_counts=listed_counts)
+    return RoundPlan(
+        round_idx=round_idx,
+        sites=sites,
+        listed_counts=listed_counts,
+        reserved_draws=0 if faulty else reserved,
+    )

@@ -4,11 +4,14 @@ The monitor's shared per-vantage stream must be consumed in exactly the
 legacy order for digests to stay bit-identical, so these helpers do not
 reorder anything — they hoist the per-draw call overhead (method
 dispatch, attribute lookups, ``gauss`` state bookkeeping) out of the
-loop while producing the identical float sequence.
+loop while producing the identical float sequence.  :class:`GaussTape`
+applies them to a whole round: the Gaussians the round is sure to use
+are drawn as one block, and consumers read them off in stream order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -62,3 +65,35 @@ def gauss_block(
         z = partner
     rng.gauss_next = z
     return out
+
+
+class GaussTape:
+    """One round's measurement Gaussians, read off a shared stream in order.
+
+    ``reserved`` Gaussians (of ``gauss(0, sigma)``) are drawn up front
+    as one :func:`gauss_block`; :meth:`one` hands them out in stream
+    order and, once they are used up, draws each further one from the
+    stream on demand.  The reservation must never exceed what the round
+    consumes: then the tape is never over-drawn, and the stream ends the
+    round exactly where sequential ``rng.gauss(0, sigma)`` calls leave
+    it, the cached ``gauss_next`` partner included.  With ``sigma <= 0``
+    the noise is off: every draw is exactly 0.0 and the stream is never
+    touched.
+    """
+
+    __slots__ = ("_rng", "_sigma", "_ahead")
+
+    def __init__(self, rng: random.Random, sigma: float, reserved: int = 0) -> None:
+        self._rng = rng
+        self._sigma = sigma
+        if sigma > 0:
+            self._ahead = iter(gauss_block(rng, reserved, 0.0, sigma))
+        else:
+            self._ahead = itertools.repeat(0.0)
+
+    def one(self) -> float:
+        """The next Gaussian of the stream."""
+        draw = next(self._ahead, None)
+        if draw is None:
+            return self._rng.gauss(0.0, self._sigma)
+        return draw

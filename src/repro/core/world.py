@@ -39,7 +39,7 @@ from ..topology.dualstack import (
     valley_free_distances,
 )
 from ..topology.generator import Topology, generate_topology
-from ..web.http import ContentEndpoint, HttpClient
+from ..web.http import ContentEndpoint, HttpClient, RouteBinding
 from ..monitor.tool import VantageEnvironment
 
 #: The paper's six vantage points (Table 1): name, location, start offset
@@ -80,7 +80,7 @@ class World:
         field(default_factory=dict, repr=False)
     )
     _owner_cache: dict[Address, int] = field(default_factory=dict, repr=False)
-    _endpoint_cache: dict[tuple[int, AddressFamily, int], ContentEndpoint] = field(
+    _endpoint_cache: dict[tuple[int, AddressFamily], ContentEndpoint] = field(
         default_factory=dict, repr=False
     )
     #: per-gateway valley-free IPv4 distances (the hidden translated leg).
@@ -94,22 +94,29 @@ class World:
     _translated_cache: dict[tuple[int, int], ForwardingPath | None] = field(
         default_factory=dict, repr=False
     )
+    #: round -> ranked site names, shared by every vantage's monitor.
+    _site_lists: dict[int, list[str]] = field(default_factory=dict, repr=False)
     #: the DNS history every vantage reads (built on first use).
     _dns_timeline: DnsTimeline | None = field(default=None, repr=False)
 
     def __getstate__(self) -> dict:
         """Pickle the world without its memo caches.
 
-        Addresses, paths, owners, endpoints, NAT64 legs and the DNS
-        timeline (with its shared answers) are pure functions of the
-        config and the built world; a loaded world rebuilds them on
+        Addresses, paths, owners, endpoints, NAT64 legs, site lists and
+        the DNS timeline (with its shared answers) are pure functions of
+        the config and the built world; a loaded world rebuilds them on
         demand, exactly as a fresh one does.
         """
         state = self.__dict__.copy()
         for name in _MEMO_FIELDS:
-            state[name] = {}
+            del state[name]
         state["_dns_timeline"] = None
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name in _MEMO_FIELDS:
+            setattr(self, name, {})
 
     # -- addressing -------------------------------------------------------------
 
@@ -149,9 +156,11 @@ class World:
         Campaign drivers call this once their shards are done: the
         timeline is the campaign's working set, and the analysis that
         follows on the same world never reads it.  The next
-        :meth:`dns_timeline` call rebuilds it.
+        :meth:`dns_timeline` call rebuilds it.  The shared per-round
+        site lists go with it.
         """
         self._dns_timeline = None
+        self._site_lists = {}
 
     def dns_cursor(self, round_idx: int = 0) -> TimelineCursor:
         """A fresh cursor over the DNS timeline, positioned at ``round_idx``."""
@@ -234,12 +243,13 @@ class World:
         self._path_cache[key] = path
         return path
 
-    def content_endpoint(
-        self, name: str, family: AddressFamily, round_idx: int
-    ) -> ContentEndpoint:
-        """What serves ``name`` over ``family`` at ``round_idx`` (cached)."""
-        site = self.catalog.by_name(name)
-        key = (site.site_id, family, round_idx)
+    def content_endpoint(self, site: Site, family: AddressFamily) -> ContentEndpoint:
+        """What serves ``site`` over ``family`` (cached).
+
+        Round-invariant: the server's speed is its family-specific speed
+        before the site's behaviour scales it round by round.
+        """
+        key = (site.site_id, family)
         cached = self._endpoint_cache.get(key)
         if cached is not None:
             return cached
@@ -247,11 +257,10 @@ class World:
             server = site.cdn.provider.edge_server()
         else:
             server = site.server
-        speed = server.speed(family) * site.behaviour.multiplier(family, round_idx)
         endpoint = ContentEndpoint(
             site_id=site.site_id,
             server_asn=server.asn,
-            server_speed=speed,
+            server_speed=server.speed(family),
             page_bytes=site.page.size(family),
         )
         self._endpoint_cache[key] = endpoint
@@ -341,46 +350,45 @@ class World:
         self._translated_cache[key] = path
         return path
 
-    def _path_provider(self, vantage_asn: int, dns64: bool = False):
-        gateway = self.nat64_gateway_for(vantage_asn) if dns64 else None
+    def bind_route(
+        self,
+        vantage_asn: int,
+        final_name: str,
+        address: Address,
+        family: AddressFamily,
+        dns64: bool = False,
+    ) -> RouteBinding:
+        """The round-invariant half of a session from a vantage to ``address``.
 
-        def provide(
-            owner_asn: int, site_id: int, family: AddressFamily, round_idx: int
-        ) -> ForwardingPath | None:
-            site = self.catalog.site(site_id)
-            if (
-                dns64
-                and family is AddressFamily.IPV6
-                and not site.v6_accessible_at(round_idx)
-            ):
-                # The AAAA this connection resolved to was DNS64-
-                # synthesized (the site publishes no real AAAA yet), so
-                # forwarding crosses the NAT64 gateway.
-                if (
-                    gateway is not None
-                    and self.faults is not None
-                    and self.faults.nat64_outage(gateway.gateway_asn, round_idx)
-                ):
-                    # The translator is down this round: every
-                    # synthesized-AAAA connection through it fails.
-                    _NAT64_OUTAGES.inc()
-                    return None
-                return self.translated_path(vantage_asn, owner_asn)
-            alternate = site.behaviour.path_changes_at(family, round_idx)
-            path = self.forwarding_path(vantage_asn, owner_asn, family, alternate)
-            if (
-                path is not None
-                and path.tunnels
-                and self.faults is not None
-                and self.faults.tunnel_broken(owner_asn, round_idx)
-            ):
-                # The destination's transition tunnel is down this round:
-                # the site is unreachable over IPv6 from everywhere, like
-                # the flapping 6to4 relays of the measurement period.
-                return None
-            return path
-
-        return provide
+        With ``dns64`` a NAT64-mapped AAAA was synthesized from the
+        site's A record (the site publishes no real AAAA), so the
+        connection reaches the IPv4 content over the translated path
+        through the vantage's NAT64 gateway.
+        """
+        site = self.catalog.by_name(final_name)
+        owner_asn = self.owner_of_address(address)
+        if dns64 and family is AddressFamily.IPV6 and is_nat64_mapped(address):
+            gateway = self.nat64_gateway_for(vantage_asn)
+            path = self.translated_path(vantage_asn, owner_asn)
+            return RouteBinding(
+                self.content_endpoint(site, AddressFamily.IPV4),
+                family,
+                owner_asn,
+                site.behaviour,
+                route=lambda alternate: path,
+                content_family=AddressFamily.IPV4,
+                translated=True,
+                gateway_asn=None if gateway is None else gateway.gateway_asn,
+            )
+        return RouteBinding(
+            self.content_endpoint(site, family),
+            family,
+            owner_asn,
+            site.behaviour,
+            route=lambda alternate: self.forwarding_path(
+                vantage_asn, owner_asn, family, alternate
+            ),
+        )
 
     # -- fault hooks -----------------------------------------------------------
 
@@ -438,38 +446,22 @@ class World:
         independently of the others.
         """
         dns64_on = self.config.dns64.applies_to(vantage.name)
-        if dns64_on:
-            # Translated connections reach IPv4 content: the synthesized
-            # AAAA embeds the site's A record, so a "v6" fetch of a
-            # v4-only site serves the IPv4 page from the IPv4 server.
-            def content_lookup(
-                name: str, family: AddressFamily, round_idx: int
-            ) -> ContentEndpoint:
-                if family is AddressFamily.IPV6 and not self.catalog.by_name(
-                    name
-                ).v6_accessible_at(round_idx):
-                    return self.content_endpoint(
-                        name, AddressFamily.IPV4, round_idx
-                    )
-                return self.content_endpoint(name, family, round_idx)
 
-        else:
-            content_lookup = self.content_endpoint
+        def bind(
+            final_name: str, address: Address, family: AddressFamily
+        ) -> RouteBinding:
+            return self.bind_route(
+                vantage.asn, final_name, address, family, dns64_on
+            )
+
         client = HttpClient(
             model=self.model,
-            content_lookup=content_lookup,
-            path_provider=self._path_provider(vantage.asn, dns64_on),
-            owner_lookup=self.owner_of_address,
+            binder=bind,
             fault_hook=self.server_fault_hook(),
+            faults=self.faults,
         )
         n_rounds = self.config.campaign.n_rounds
         external_ids = self.external_site_ids()
-
-        def site_list(round_idx: int) -> list[str]:
-            return [
-                self.catalog.site(sid).name
-                for sid in self.catalog.ranking.list_at_round(round_idx)
-            ]
 
         def external_inputs(round_idx: int) -> list[str]:
             if not vantage.external_inputs or not external_ids:
@@ -487,11 +479,26 @@ class World:
             ),
             client=client,
             clock=self.clock,
-            site_list=site_list,
+            site_list=self.site_list,
             external_inputs=external_inputs,
             site_id_of=lambda name: self.catalog.by_name(name).site_id,
             record_transitions=self.config.dns64.enabled,
         )
+
+    def site_list(self, round_idx: int) -> list[str]:
+        """The round's ranked site names (the freshly retrieved top list).
+
+        One list per round, shared by every vantage that reads it: the
+        callers never mutate it.  Released with the DNS timeline.
+        """
+        names = self._site_lists.get(round_idx)
+        if names is None:
+            site = self.catalog.site
+            names = self._site_lists[round_idx] = [
+                site(sid).name
+                for sid in self.catalog.ranking.list_at_round(round_idx)
+            ]
+        return names
 
     def external_site_ids(self) -> list[int]:
         """Sites outside the ranked universe (Penn's DNS-cache feed)."""
@@ -611,6 +618,7 @@ _MEMO_FIELDS = (
     "_nat64_distances",
     "_vantage_gateway",
     "_translated_cache",
+    "_site_lists",
 )
 
 
@@ -623,9 +631,6 @@ def _rrset(name: str, rtype: RecordType, address: Address) -> RRSet:
 
 
 _LOG = get_logger("core.world")
-#: translated connections refused because the gateway was down (module
-#: cached: ``obs`` resets metrics in place).
-_NAT64_OUTAGES = metrics.counter("faults.nat64_outages")
 
 
 def build_world(config: ScenarioConfig) -> World:

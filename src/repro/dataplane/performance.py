@@ -26,6 +26,7 @@ import random
 from typing import TYPE_CHECKING
 
 from ..config import PerformanceConfig
+from ..net.addresses import AddressFamily
 from ..rng import RngStreams
 from .path import ForwardingPath
 
@@ -51,7 +52,9 @@ class ThroughputModel:
         self.config = config
         self._rngs = rngs
         self._faults = faults
-        self._round_factors: dict[tuple[int, str, int], float] = {}
+        #: (site_id, family, round) -> round factor, keyed on the family
+        #: member (identity-hashed) rather than its string value.
+        self._round_factors: dict[tuple[int, AddressFamily, int], float] = {}
 
     def __getstate__(self) -> dict:
         """Pickle without the round-factor memo (re-derived from the seed)."""
@@ -68,12 +71,14 @@ class ThroughputModel:
         hops = min(max(1, path.effective_hops), self.config.hop_saturation)
         return path.total_quality / (1.0 + self.config.hop_slowdown * (hops - 1))
 
-    def round_factor(self, site_id: int, family, round_idx: int) -> float:
+    def round_factor(
+        self, site_id: int, family: AddressFamily, round_idx: int
+    ) -> float:
         """Transient congestion factor shared within one round."""
         sigma = self.config.round_noise_sigma
         if sigma <= 0:
             return 1.0
-        key = (site_id, family.value, round_idx)
+        key = (site_id, family, round_idx)
         cached = self._round_factors.get(key)
         if cached is None:
             rng = self._rngs.fresh(f"round-noise:{site_id}:{family.value}:{round_idx}")
@@ -85,45 +90,25 @@ class ThroughputModel:
         self,
         server_speed: float,
         path: ForwardingPath,
+        path_factor: float,
         site_id: int,
         round_idx: int,
     ) -> float:
-        """The latent mean speed (kbytes/sec) for one site-round."""
+        """The latent mean speed (kbytes/sec) for one site-round.
+
+        ``path_factor`` is :meth:`path_factor` of ``path``, which callers
+        that route over the same path every round compute once.
+        """
         if server_speed <= 0:
             raise ValueError("server_speed must be positive")
         speed = (
             server_speed
-            * self.path_factor(path)
+            * path_factor
             * self.round_factor(site_id, path.family, round_idx)
         )
         if self._faults is not None:
             speed *= self._faults.path_degradation(path.as_path, round_idx)
         return speed
-
-    def sample_download_speed_batch(
-        self, round_mean: float, rng: random.Random, n: int
-    ) -> list[float]:
-        """``n`` download speeds around one round mean, in draw order.
-
-        Identical to ``n`` :meth:`sample_download_speed` calls on the
-        same stream: the underlying Gaussians come from
-        :func:`repro.batch.sampling.gauss_block`, which replicates
-        ``random.gauss`` bit-for-bit (including the cached partner), so
-        the shared stream advances exactly as the scalar loop would.
-        """
-        sigma = self.config.measurement_noise_sigma
-        if sigma <= 0:
-            return [round_mean] * n
-        from ..batch.sampling import gauss_block
-
-        exp = math.exp
-        return [round_mean * exp(g) for g in gauss_block(rng, n, 0.0, sigma)]
-
-    def download_seconds(self, page_bytes: int, speed_kbytes_per_sec: float) -> float:
-        """Time to fetch ``page_bytes`` at a given speed."""
-        if speed_kbytes_per_sec <= 0:
-            raise ValueError("speed must be positive")
-        return (page_bytes / 1000.0) / speed_kbytes_per_sec
 
     def sample_server_base_speed(self, rng: random.Random) -> float:
         """Draw a server's base speed from the configured lognormal."""

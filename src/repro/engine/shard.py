@@ -37,9 +37,9 @@ from ..dns.resolver import Resolver
 from ..errors import EngineError
 from ..monitor.tool import MonitoringTool, RoundReport, VantageEnvironment
 from ..monitor.vantage import VantagePoint
-from ..net.addresses import AddressFamily
+from ..net.addresses import Address, AddressFamily
 from ..obs import get_logger, span
-from ..web.http import ContentEndpoint, HttpClient
+from ..web.http import HttpClient, RouteBinding
 
 _LOG = get_logger("engine.shard")
 
@@ -213,40 +213,32 @@ def _w6d_environment(world, vantage: VantagePoint) -> VantageEnvironment:
     """
     participants = world.catalog.w6d_participants()
     names = [site.name for site in participants]
-    base_endpoint = world.content_endpoint
+    v4, v6 = AddressFamily.IPV4, AddressFamily.IPV6
 
-    def content_lookup(
-        name: str, family: AddressFamily, round_idx: int
-    ) -> ContentEndpoint:
-        endpoint = base_endpoint(name, family, round_idx)
-        site = world.catalog.by_name(name)
-        if family is AddressFamily.IPV6 and site.w6d_good_v6:
+    def bind(
+        final_name: str, address: Address, family: AddressFamily
+    ) -> RouteBinding:
+        binding = world.bind_route(vantage.asn, final_name, address, family)
+        site = world.catalog.by_name(final_name)
+        if family is v6 and site.w6d_good_v6:
             v4_path = world.forwarding_path(
-                vantage.asn, site.dest_asn(AddressFamily.IPV4),
-                AddressFamily.IPV4, alternate=False,
+                vantage.asn, site.dest_asn(v4), v4, alternate=False
             )
             v6_path = world.forwarding_path(
-                vantage.asn, site.dest_asn(AddressFamily.IPV6),
-                AddressFamily.IPV6, alternate=False,
+                vantage.asn, site.dest_asn(v6), v6, alternate=False
             )
             if v4_path is not None and v6_path is not None:
                 f_v4 = world.model.path_factor(v4_path)
                 f_v6 = world.model.path_factor(v6_path)
                 if f_v6 < f_v4:
-                    endpoint = ContentEndpoint(
-                        site_id=endpoint.site_id,
-                        server_asn=endpoint.server_asn,
-                        server_speed=endpoint.server_speed * (f_v4 / f_v6),
-                        page_bytes=endpoint.page_bytes,
-                    )
-        return endpoint
+                    binding.parity = f_v4 / f_v6
+        return binding
 
     client = HttpClient(
         model=world.model,
-        content_lookup=content_lookup,
-        path_provider=world._path_provider(vantage.asn),
-        owner_lookup=world.owner_of_address,
+        binder=bind,
         fault_hook=world.server_fault_hook(),
+        faults=world.faults,
     )
     w6d_round = world.config.adoption.world_ipv6_day_round
     w6d_clock = SimulationClock.world_ipv6_day()

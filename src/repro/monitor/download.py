@@ -6,23 +6,29 @@ point the page size and its average download time are recorded."  The
 loop resets (no caching effects) between downloads — in the simulation
 each GET is an independent sample by construction.
 
-Both phases sample a pinned :class:`~repro.web.http.DownloadSession`.
+Both phases sample a :class:`~repro.web.http.DownloadSession`: one
+round's view of a route binding, with the round mean and the path fixed.
+Each successful GET reads one Gaussian off the round's
+:class:`~repro.batch.sampling.GaussTape`, so the shared stream advances
+by the same draws whatever the fault plan decides.  The tape holds the
+draws the round is sure to make, drawn as one block, and draws the rest
+on demand; it never holds more than the round reads, so the stream ends
+the round where one ``gauss`` call per GET leaves it.
+
 In a faulty world every GET first asks the client's fault hook whether
 the attempt fails (a timeout or a reset costing the fault's seconds);
-failed attempts never draw from the shared RNG and never enter the speed
-statistics, and they are retried with exponential backoff (the k-th
-retry waits ``retry_initial_seconds * retry_backoff ** k`` simulated
-seconds) until ``max_retries`` consecutive failures give the GET up.
-Each successful GET draws exactly one Gaussian, so the shared stream
-advances by the same draws whatever the fault plan decides.
+failed attempts never draw and never enter the speed statistics, and
+they are retried with exponential backoff (the k-th retry waits
+``retry_initial_seconds * retry_backoff ** k`` simulated seconds) until
+``max_retries`` consecutive failures give the GET up.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from functools import lru_cache
 
+from ..batch.sampling import GaussTape
 from ..config import MonitorConfig
 from ..obs import metrics
 from ..stats.intervals import t_critical
@@ -62,7 +68,7 @@ def backoff_seconds(config: MonitorConfig, attempt: int) -> float:
 
 def probe_page(
     session: DownloadSession,
-    rng: random.Random,
+    tape: GaussTape,
     config: MonitorConfig,
     fault_hook: FaultHook | None = None,
 ) -> tuple[float, tuple[str, ...]]:
@@ -94,17 +100,13 @@ def probe_page(
             failed.append("exhausted")
             return seconds, tuple(failed)
         failures = tuple(failed)
-    sigma = session._noise_sigma
-    if sigma > 0:
-        speed = session.round_mean * math.exp(rng.gauss(0.0, sigma))
-    else:
-        speed = session.round_mean
-    return seconds + session._page_kbytes / speed, failures
+    speed = session.round_mean * math.exp(tape.one())
+    return seconds + session.page_kbytes / speed, failures
 
 
 def run_converging_loop(
     session: DownloadSession,
-    rng: random.Random,
+    tape: GaussTape,
     config: MonitorConfig,
     fault_hook: FaultHook | None = None,
 ) -> tuple[int, float, float, float, bool, tuple[str, ...]]:
@@ -116,24 +118,21 @@ def run_converging_loop(
     the paper reports.  The Welford update and the convergence check
     (``t * (sqrt(var) / sqrt(n))`` against ``half / |mean|``) run inline.
 
-    Without a fault hook every GET succeeds, so the first
-    ``min_downloads`` Gaussians are drawn as one block
-    (:meth:`ThroughputModel.sample_download_speed_batch`).  With one,
-    attempt ``k`` asks the hook under ``loop:{k}`` and each success draws
-    its own Gaussian; ``failures`` then lists every timeout, then every
-    reset, then ``"exhausted"`` if ``max_retries`` consecutive failures
-    abandoned the loop (with no success, ``n_samples`` is 0).
+    Each successful GET reads one Gaussian off the round's tape.  With a
+    fault hook, attempt ``k`` first asks the hook under ``loop:{k}``;
+    ``failures`` then lists every timeout, then every reset, then
+    ``"exhausted"`` if ``max_retries`` consecutive failures abandoned the
+    loop (with no success, ``n_samples`` is 0).
     """
     cfg = config
     round_mean = session.round_mean
-    page_kbytes = session._page_kbytes
-    sigma = session._noise_sigma
+    page_kbytes = session.page_kbytes
     min_n = cfg.min_downloads
     max_n = cfg.max_downloads
     rel = cfg.ci_relative_width
     tcrit = _tcrit_table(cfg.confidence, max_n)
     sqrt_n = _sqrt_table(max_n)
-    gauss = rng.gauss
+    draw = tape.one
     exp = math.exp
     sqrt = math.sqrt
     total_seconds = 0.0
@@ -142,32 +141,13 @@ def run_converging_loop(
     m2 = 0.0
     half = 0.0
     converged = False
-    if fault_hook is None:
-        speeds = session._client._model.sample_download_speed_batch(
-            round_mean, rng, min_n if min_n <= max_n else max_n
-        )
-    else:
-        speeds = ()
+    if fault_hook is not None:
         site_id = session.endpoint.site_id
         family = session.family
         round_idx = session.round_idx
         attempt = consecutive_failed = n_timeouts = n_resets = 0
         gave_up = False
     while True:
-        if speeds:
-            for speed in speeds:
-                total_seconds += page_kbytes / speed
-                n += 1
-                delta = speed - mean
-                mean += delta / n
-                m2 += delta * (speed - mean)
-            if n >= min_n:
-                half = tcrit[n] * (sqrt(m2 / (n - 1)) / sqrt_n[n])
-                if mean != 0 and half / abs(mean) <= rel:
-                    converged = True
-                    break
-            if n >= max_n:
-                break
         if fault_hook is not None:
             fault = fault_hook(site_id, family, round_idx, f"loop:{attempt}")
             attempt += 1
@@ -182,14 +162,21 @@ def run_converging_loop(
                     break
                 total_seconds += backoff_seconds(cfg, consecutive_failed)
                 consecutive_failed += 1
-                speeds = ()
                 continue
             consecutive_failed = 0
-        speeds = (
-            (round_mean * exp(gauss(0.0, sigma)),)
-            if sigma > 0
-            else (round_mean,)
-        )
+        speed = round_mean * exp(draw())
+        total_seconds += page_kbytes / speed
+        n += 1
+        delta = speed - mean
+        mean += delta / n
+        m2 += delta * (speed - mean)
+        if n >= min_n:
+            half = tcrit[n] * (sqrt(m2 / (n - 1)) / sqrt_n[n])
+            if mean != 0 and half / abs(mean) <= rel:
+                converged = True
+                break
+        if n >= max_n:
+            break
     if not converged and n >= 2:
         half = tcrit[n] * (sqrt(m2 / (n - 1)) / sqrt_n[n])
     failures = NO_FAILURES

@@ -100,10 +100,6 @@ class RngStreams:
         rand = self.stream(name).random
         return [rand() for _ in range(n)]
 
-    def spawn(self, name: str) -> "RngStreams":
-        """Derive a child factory whose streams are independent of ours."""
-        return RngStreams(derive_seed(self.master_seed, f"spawn:{name}"))
-
     def names(self) -> Iterator[str]:
         """Iterate over the names of streams created so far."""
         return iter(self._streams)

@@ -36,7 +36,8 @@ from repro.monitor.tool import MonitoringTool, VantageEnvironment
 from repro.monitor.vantage import VantageKind, VantagePoint
 from repro.net.addresses import IPv4Address, IPv6Address
 from repro.rng import RngStreams
-from repro.web.http import ContentEndpoint, HttpClient
+from repro.sites.behaviour import SiteBehaviour
+from repro.web.http import ContentEndpoint, HttpClient, RouteBinding
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 FIXTURE = FIXTURES / "golden_dns_rounds.json"
@@ -158,30 +159,27 @@ def _mutate(store: ZoneStore, round_idx: int) -> None:
 def _environment(store: ZoneStore, dns64: bool) -> VantageEnvironment:
     model = ThroughputModel(PerformanceConfig(), RngStreams(5))
 
-    def content_lookup(name, family, round_idx):
+    def binder(name, address, family):
         site_id = TERMINALS[name]
-        return ContentEndpoint(
+        hops = (1, 2) if site_id % 2 else (1, 3, 2)
+        path = ForwardingPath(
+            family=family, as_path=hops, quality=1.0, tunnels=(),
+            tunnel_quality=0.8,
+        )
+        endpoint = ContentEndpoint(
             site_id=site_id,
             server_asn=2,
             server_speed=80.0 + 10 * site_id,
             page_bytes=40_000,
         )
-
-    def path_provider(owner, site_id, family, round_idx):
-        hops = (1, 2) if site_id % 2 else (1, 3, 2)
-        return ForwardingPath(
-            family=family, as_path=hops, quality=1.0, tunnels=(),
-            tunnel_quality=0.8,
+        return RouteBinding(
+            endpoint, family, 2, SiteBehaviour.stationary(),
+            lambda alternate: path,
         )
 
     return VantageEnvironment(
         resolver=Resolver(store=store, dns64=dns64),
-        client=HttpClient(
-            model=model,
-            content_lookup=content_lookup,
-            path_provider=path_provider,
-            owner_lookup=lambda address: 2,
-        ),
+        client=HttpClient(model=model, binder=binder),
         clock=SimulationClock.weekly(),
         site_list=lambda round_idx: sorted(SITES),
         external_inputs=lambda round_idx: [],

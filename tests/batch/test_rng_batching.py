@@ -2,8 +2,10 @@
 
 The batched execution plane's whole bit-identity argument rests on these
 primitives: ``RngStreams.uniforms`` / ``uniform_block`` must consume a
-shared stream exactly as sequential ``random()`` calls would, and
-``gauss_block`` must replicate CPython's Box-Muller partner caching.
+shared stream exactly as sequential ``random()`` calls would,
+``gauss_block`` must replicate CPython's Box-Muller partner caching, and
+a round's ``GaussTape`` must read the stream exactly as one ``gauss``
+call per draw would, whatever its reservation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.sampling import gauss_block, uniform_block
+from repro.batch.sampling import GaussTape, gauss_block, uniform_block
 from repro.rng import RngStreams
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -46,22 +48,6 @@ class TestUniformBlocks:
         scalar = random.Random(seed)
         assert uniform_block(bulk, n) == [scalar.random() for _ in range(n)]
         assert bulk.random() == scalar.random()
-
-    @given(seed=SEEDS, name=NAMES, n=st.integers(1, 50), child=NAMES)
-    @settings(max_examples=40)
-    def test_spawn_children_unaffected_by_parent_bulk_draws(
-        self, seed, name, n, child
-    ):
-        drained = RngStreams(seed)
-        pristine = RngStreams(seed)
-        drained.uniforms(name, n)  # bulk-consume on one parent only
-        assert (
-            drained.spawn(child).master_seed
-            == pristine.spawn(child).master_seed
-        )
-        assert drained.spawn(child).uniforms(name, 8) == pristine.spawn(
-            child
-        ).uniforms(name, 8)
 
 
 class TestGaussBlocks:
@@ -96,3 +82,44 @@ class TestGaussBlocks:
         for size in blocks:
             out.extend(gauss_block(bulk, size, 0.0, 1.5))
         assert out == [scalar.gauss(0.0, 1.5) for _ in range(sum(blocks))]
+
+
+class TestGaussTape:
+    @given(
+        seed=SEEDS,
+        warmup=st.integers(0, 3),
+        reads=st.integers(0, 40),
+        reserve_share=st.floats(0.0, 1.0),
+        sigma=SIGMAS,
+        rounds=st.integers(1, 3),
+    )
+    @settings(max_examples=120)
+    def test_tape_reads_match_sequential_gauss(
+        self, seed, warmup, reads, reserve_share, sigma, rounds
+    ):
+        """Reservations from 0 up to every read, refills past them, and a
+        cached partner left at the start or the end of a tape."""
+        taped = random.Random(seed)
+        scalar = random.Random(seed)
+        for _ in range(warmup):
+            assert taped.gauss(0.0, sigma) == scalar.gauss(0.0, sigma)
+        for round_no in range(rounds):
+            n = reads + round_no  # odd and even totals across rounds
+            tape = GaussTape(taped, sigma, int(reserve_share * n))
+            assert [tape.one() for _ in range(n)] == [
+                scalar.gauss(0.0, sigma) for _ in range(n)
+            ]
+            # The stream ends the tape exactly where sequential draws
+            # leave it, the cached partner included.
+            assert taped.getstate() == scalar.getstate()
+
+    @given(seed=SEEDS, reads=st.integers(0, 20), reserved=st.integers(0, 20))
+    @settings(max_examples=30)
+    def test_noise_off_reads_zero_and_leaves_the_stream(
+        self, seed, reads, reserved
+    ):
+        rng = random.Random(seed)
+        state = rng.getstate()
+        tape = GaussTape(rng, 0.0, reserved)
+        assert [tape.one() for _ in range(reads)] == [0.0] * reads
+        assert rng.getstate() == state

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.batch.sampling import GaussTape
 from repro.config import PerformanceConfig
 from repro.dataplane.path import ForwardingPath
 from repro.dataplane.performance import ThroughputModel
@@ -85,24 +86,24 @@ class TestRoundFactor:
 class TestSampling:
     def test_round_mean_speed_composition(self, model):
         path = path_of(3)
-        speed = model.round_mean_speed(100.0, path, site_id=5, round_idx=2)
+        speed = model.round_mean_speed(
+            100.0, path, model.path_factor(path), site_id=5, round_idx=2
+        )
         expected = 100.0 * model.path_factor(path) * model.round_factor(5, V4, 2)
         assert speed == pytest.approx(expected)
 
     def test_nonpositive_server_speed_rejected(self, model):
         with pytest.raises(ValueError):
-            model.round_mean_speed(0.0, path_of(2), 1, 1)
+            model.round_mean_speed(0.0, path_of(2), 1.0, 1, 1)
 
     def test_download_noise_is_unbiased(self, model):
-        rng = random.Random(4)
-        samples = model.sample_download_speed_batch(50.0, rng, 4000)
+        # The monitor's GETs sample round_mean * exp(g), g off the tape.
+        tape = GaussTape(
+            random.Random(4), model.config.measurement_noise_sigma, 1000
+        )
+        samples = [50.0 * math.exp(tape.one()) for _ in range(4000)]
         # Lognormal with small sigma: mean within ~2% of the round mean.
         assert statistics.mean(samples) == pytest.approx(50.0, rel=0.02)
-
-    def test_download_seconds(self, model):
-        assert model.download_seconds(50_000, 100.0) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            model.download_seconds(50_000, 0.0)
 
     def test_server_base_speed_mean_matches_config(self, model):
         rng = random.Random(9)
@@ -115,5 +116,6 @@ class TestSampling:
     @settings(max_examples=30, deadline=None)
     def test_speed_always_positive(self, hops, quality):
         model = ThroughputModel(PerformanceConfig(), RngStreams(1))
-        speed = model.round_mean_speed(80.0, path_of(hops, quality), 1, 1)
+        path = path_of(hops, quality)
+        speed = model.round_mean_speed(80.0, path, model.path_factor(path), 1, 1)
         assert speed > 0

@@ -23,7 +23,8 @@ from repro.monitor.tool import VantageEnvironment
 from repro.monitor.vantage import VantageKind, VantagePoint
 from repro.net.addresses import AddressFamily, IPv4Address, IPv6Address
 from repro.rng import RngStreams
-from repro.web.http import ContentEndpoint, HttpClient
+from repro.sites.behaviour import SiteBehaviour
+from repro.web.http import ContentEndpoint, HttpClient, RouteBinding
 
 V4 = AddressFamily.IPV4
 V6 = AddressFamily.IPV6
@@ -75,25 +76,25 @@ def mini_env() -> VantageEnvironment:
         PerformanceConfig(round_noise_sigma=0.0), RngStreams(3)
     )
 
-    def content_lookup(name, family, round_idx):
-        return ContentEndpoint(
-            site_id=SITES[name],
+    def binder(name, address, family):
+        site_id = SITES[name]
+        path = (
+            long_path(family)
+            if site_id == SITES["slowv6.example"] and family is V6
+            else short_path(family)
+        )
+        endpoint = ContentEndpoint(
+            site_id=site_id,
             server_asn=2,
             server_speed=100.0,
             page_bytes=PAGE_BYTES[(name, family)],
         )
+        return RouteBinding(
+            endpoint, family, 2, SiteBehaviour.stationary(),
+            lambda alternate: path,
+        )
 
-    def path_provider(owner, site_id, family, round_idx):
-        if site_id == SITES["slowv6.example"] and family is V6:
-            return long_path(family)
-        return short_path(family)
-
-    client = HttpClient(
-        model=model,
-        content_lookup=content_lookup,
-        path_provider=path_provider,
-        owner_lookup=lambda address: 2,
-    )
+    client = HttpClient(model=model, binder=binder)
     return VantageEnvironment(
         resolver=Resolver(store=store),
         client=client,

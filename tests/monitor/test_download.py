@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.batch.sampling import GaussTape
 from repro.config import MonitorConfig, PerformanceConfig
 from repro.dataplane.path import ForwardingPath
 from repro.dataplane.performance import ThroughputModel
@@ -13,29 +14,29 @@ from repro.faults.plan import ServerFault
 from repro.monitor.download import probe_page, run_converging_loop
 from repro.net.addresses import AddressFamily, IPv4Address
 from repro.rng import RngStreams
-from repro.web.http import ContentEndpoint, HttpClient
+from repro.sites.behaviour import SiteBehaviour
+from repro.web.http import ContentEndpoint, HttpClient, RouteBinding
 
 V4 = AddressFamily.IPV4
 
 
-def open_session(noise_sigma: float):
+def open_session():
     """A hand-built session: an 80 kB/s server, 30 kB page, 1-hop path."""
     model = ThroughputModel(
-        PerformanceConfig(
-            measurement_noise_sigma=noise_sigma, round_noise_sigma=0.0
-        ),
-        RngStreams(1),
+        PerformanceConfig(round_noise_sigma=0.0), RngStreams(1)
     )
     path = ForwardingPath(
         family=V4, as_path=(1, 2), quality=1.0, tunnels=(), tunnel_quality=0.8
     )
+    endpoint = ContentEndpoint(
+        site_id=1, server_asn=2, server_speed=80.0, page_bytes=30_000
+    )
     client = HttpClient(
         model=model,
-        content_lookup=lambda name, family, r: ContentEndpoint(
-            site_id=1, server_asn=2, server_speed=80.0, page_bytes=30_000
+        binder=lambda name, address, family: RouteBinding(
+            endpoint, family, 2, SiteBehaviour.stationary(),
+            lambda alternate: path,
         ),
-        path_provider=lambda *a: path,
-        owner_lookup=lambda a: 2,
     )
     return client.open("s", IPv4Address(1), V4, 0)
 
@@ -47,8 +48,8 @@ def run_loop(
 ):
     """One converging loop over a hand-built session; its result tuple."""
     return run_converging_loop(
-        open_session(noise_sigma),
-        random.Random(2),
+        open_session(),
+        GaussTape(random.Random(2), noise_sigma),
         config or MonitorConfig(),
         fault_hook,
     )
@@ -155,7 +156,9 @@ class TestProbe:
 
     def test_clean_probe_is_one_draw(self):
         rng = random.Random(2)
-        seconds, failures = probe_page(open_session(0.05), rng, MonitorConfig())
+        seconds, failures = probe_page(
+            open_session(), GaussTape(rng, 0.05), MonitorConfig()
+        )
         assert failures == ()
         # 30 kB at roughly the 80 kB/s latent speed.
         assert seconds == pytest.approx(30.0 / 80.0, rel=0.2)
@@ -168,7 +171,8 @@ class TestProbe:
         rng = random.Random(2)
         cfg = MonitorConfig()
         seconds, failures = probe_page(
-            open_session(0.05), rng, cfg, lambda site, fam, r, key: fault
+            open_session(), GaussTape(rng, 0.05), cfg,
+            lambda site, fam, r, key: fault,
         )
         assert failures == ("reset",) * (cfg.max_retries + 1) + ("exhausted",)
         assert seconds == pytest.approx(
